@@ -20,6 +20,7 @@ from typing import List, Optional
 from . import config as config_mod
 from . import evaluation, gps as gps_mod, pipeline, sim, streams
 from .config import ConfigError
+from .rules import RuleConfig
 
 
 def _parse_flag_value(text: str):
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-labels", required=True)
     p_sim.add_argument("--video-id", default="default")
     p_sim.add_argument(
-        "--delta", type=float, default=3.0, help="TTC threshold for oracle labels"
+        "--delta", type=float, default=RuleConfig.delta, help="TTC threshold for oracle labels"
     )
     p_sim.set_defaults(func=cmd_simulate)
 

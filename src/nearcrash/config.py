@@ -5,230 +5,169 @@ detector confidence 0.4, size windows of 12 samples, center windows of
 18, a 3 s height-TTC threshold with the width threshold at 2.25x that,
 and a motion band of (-0.75, 0.05).
 
-The camera section carries only frame geometry and nominal fps; the
-engine never uses a focal length (that is the point of the TTC method),
-so a placeholder focal of 1.0 backs the shared CameraSpec type.
+Each section is a frozen dataclass and each field is declared once. The
+declaration gives the default; the annotation gives the JSON type (an
+``int`` rejects floats and booleans, a ``float`` also takes ints, an
+``Optional`` also takes null, a ``Literal`` lists the allowed values);
+and ``setting(default, check, message)`` attaches a bound that the value
+must meet. ``DEFAULTS``, the override flags, the override check and the
+validation in ``build_config`` are all read from those fields. Checks
+across fields live in the section's ``__post_init__`` and are reported
+under the section name.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import (
+    Any, Callable, Dict, List, Literal, Optional, get_args, get_origin, get_type_hints,
+)
 
 from .gps import GpsAffine
 from .rules import RuleConfig
-from .streams import CameraSpec
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message carries the offending field path."""
 
 
-DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "camera": {"frame_width": 1280.0, "frame_height": 720.0, "fps": 24.0},
-    "tracker": {"confidence_min": 0.4, "iou_min": 0.3, "max_age": 5, "min_hits": 3},
-    "regression": {
-        "size_window_len": 12,
-        "center_window_len": 18,
-        "slope_epsilon": 0.001,
-    },
-    "rules": {
-        "delta": 3.0,
-        "phi": 6.75,
-        "alpha": -0.75,
-        "beta": 0.05,
-        "c_los": None,
-        "cooldown": 10.0,
-    },
-    "pipeline": {
-        "mode": "offline",
-        "buffer_seconds": 10.0,
-        "process_min_interval": 0.0,
-    },
-    "gps": {
-        "lat_scale": 1.666,
-        "lat_offset": -31.30174,
-        "lon_scale": 1.666,
-        "lon_offset": 81.25186,
-        "sample_period": 3.0,
-    },
-}
+def setting(default: Any, check: Callable[[Any], bool], message: str) -> Any:
+    """A field with a default and a bound; `message` says what the bound is."""
+    return field(default=default, metadata={"bound": (check, message)})
+
+
+def _positive(default: float) -> Any:
+    return setting(default, lambda v: v > 0, "must be > 0")
+
+
+def _at_least(default: Any, low: int) -> Any:
+    return setting(default, lambda v: v >= low, f"must be >= {low}")
+
+
+def _nonzero(default: float) -> Any:
+    return setting(default, lambda v: v != 0, "must be nonzero")
+
+
+@dataclass(frozen=True)
+class FrameGeometry:
+    """Frame size and nominal rate: all the engine knows of the camera."""
+
+    frame_width: float = _positive(1280.0)
+    frame_height: float = _positive(720.0)
+    fps: float = _positive(24.0)
+
+    @property
+    def principal_x(self) -> float:
+        return self.frame_width / 2.0
 
 
 @dataclass(frozen=True)
 class TrackerParams:
-    confidence_min: float = 0.4
-    iou_min: float = 0.3
-    max_age: int = 5
-    min_hits: int = 3
+    confidence_min: float = setting(0.4, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+    iou_min: float = setting(0.3, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+    max_age: int = _at_least(5, 0)
+    min_hits: int = _at_least(3, 1)
 
 
 @dataclass(frozen=True)
 class RegressionParams:
-    size_window_len: int = 12
-    center_window_len: int = 18
-    slope_epsilon: float = 0.001
+    size_window_len: int = _at_least(12, 2)
+    center_window_len: int = _at_least(18, 2)
+    slope_epsilon: float = _positive(0.001)
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    mode: str = "offline"
-    buffer_seconds: float = 10.0
+    mode: Literal["offline", "live"] = "offline"
+    # also the pre-event span of every event clip
+    buffer_seconds: float = _positive(10.0)
     # consumer throttle for load testing and deterministic drop simulation
-    process_min_interval: float = 0.0
+    process_min_interval: float = _at_least(0.0, 0)
 
 
 @dataclass(frozen=True)
 class GpsParams:
-    affine: GpsAffine = GpsAffine()
-    sample_period: float = 3.0
+    lat_scale: float = _nonzero(GpsAffine.lat_scale)
+    lat_offset: float = GpsAffine.lat_offset
+    lon_scale: float = _nonzero(GpsAffine.lon_scale)
+    lon_offset: float = GpsAffine.lon_offset
+    sample_period: float = _positive(3.0)
+
+    @property
+    def affine(self) -> GpsAffine:
+        return GpsAffine(self.lat_scale, self.lat_offset, self.lon_scale, self.lon_offset)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    camera: CameraSpec
-    tracker: TrackerParams
-    regression: RegressionParams
-    rules: RuleConfig
-    pipeline: PipelineParams
-    gps: GpsParams
+    camera: FrameGeometry = FrameGeometry()
+    tracker: TrackerParams = TrackerParams()
+    regression: RegressionParams = RegressionParams()
+    rules: RuleConfig = RuleConfig()
+    pipeline: PipelineParams = PipelineParams()
+    gps: GpsParams = GpsParams()
 
     @property
     def window_capacity(self) -> int:
         return max(self.regression.size_window_len, self.regression.center_window_len)
 
 
-def _check(cond: bool, path: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
+DEFAULTS: Dict[str, Dict[str, Any]] = asdict(EngineConfig())
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"{here}: unknown field")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected an object")
-            merged[key] = _merge(defaults[key], value, here)
-        else:
-            merged[key] = value
-    return merged
+def _typed(value: Any, kind: Any, path: str) -> Any:
+    """Check a JSON value against a field annotation; numbers come back as float."""
+    options = get_args(kind)
+    if get_origin(kind) is Literal:
+        if value not in options:
+            raise ConfigError(f"{path}: must be {' or '.join(map(repr, options))}")
+        return value
+    if value is None and type(None) in options:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        if number and isinstance(value, int):
+            return value
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if number:
+        return float(value)
+    raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
-def _number(raw: dict, path: str, key: str) -> float:
-    value = raw[key]
-    here = f"{path}.{key}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{here}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(raw: dict, path: str, key: str) -> int:
-    value = raw[key]
-    here = f"{path}.{key}"
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{here}: expected an integer, got {value!r}")
-    return value
+def _section(cls: type, raw: Any, path: str) -> Any:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    declared = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in declared:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    kinds = get_type_hints(cls)
+    values = {}
+    for name, f in declared.items():
+        here = f"{path}.{name}"
+        value = _typed(raw.get(name, f.default), kinds[name], here)
+        if "bound" in f.metadata:
+            check, message = f.metadata["bound"]
+            if not check(value):
+                raise ConfigError(f"{here}: {message}")
+        values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_config(user: Optional[dict] = None) -> EngineConfig:
-    """Validate a raw config dict against the schema and defaults."""
-    raw = _merge(DEFAULTS, user or {})
-
-    cam = raw["camera"]
-    width = _number(cam, "camera", "frame_width")
-    height = _number(cam, "camera", "frame_height")
-    fps = _number(cam, "camera", "fps")
-    _check(width > 0, "camera.frame_width", "must be > 0")
-    _check(height > 0, "camera.frame_height", "must be > 0")
-    _check(fps > 0, "camera.fps", "must be > 0")
-    camera = CameraSpec(
-        focal_px=1.0, frame_width=width, frame_height=height, fps=fps
-    )
-
-    trk = raw["tracker"]
-    confidence_min = _number(trk, "tracker", "confidence_min")
-    iou_min = _number(trk, "tracker", "iou_min")
-    max_age = _integer(trk, "tracker", "max_age")
-    min_hits = _integer(trk, "tracker", "min_hits")
-    _check(0.0 <= confidence_min <= 1.0, "tracker.confidence_min", "must be in [0, 1]")
-    _check(0.0 < iou_min < 1.0, "tracker.iou_min", "must be in (0, 1)")
-    _check(max_age >= 0, "tracker.max_age", "must be >= 0")
-    _check(min_hits >= 1, "tracker.min_hits", "must be >= 1")
-    tracker = TrackerParams(
-        confidence_min=confidence_min, iou_min=iou_min, max_age=max_age, min_hits=min_hits
-    )
-
-    reg = raw["regression"]
-    size_len = _integer(reg, "regression", "size_window_len")
-    center_len = _integer(reg, "regression", "center_window_len")
-    slope_eps = _number(reg, "regression", "slope_epsilon")
-    _check(size_len >= 2, "regression.size_window_len", "must be >= 2")
-    _check(center_len >= 2, "regression.center_window_len", "must be >= 2")
-    _check(slope_eps > 0, "regression.slope_epsilon", "must be > 0")
-    regression = RegressionParams(
-        size_window_len=size_len, center_window_len=center_len, slope_epsilon=slope_eps
-    )
-
-    rul = raw["rules"]
-    c_los = rul["c_los"]
-    if c_los is not None:
-        c_los = _number(rul, "rules", "c_los")
-    try:
-        rules = RuleConfig(
-            delta=_number(rul, "rules", "delta"),
-            phi=_number(rul, "rules", "phi"),
-            alpha=_number(rul, "rules", "alpha"),
-            beta=_number(rul, "rules", "beta"),
-            c_los=c_los,
-            cooldown=_number(rul, "rules", "cooldown"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"rules: {exc}") from exc
-
-    pipe = raw["pipeline"]
-    mode = pipe["mode"]
-    _check(mode in ("offline", "live"), "pipeline.mode", "must be 'offline' or 'live'")
-    buffer_s = _number(pipe, "pipeline", "buffer_seconds")
-    min_interval = _number(pipe, "pipeline", "process_min_interval")
-    _check(buffer_s > 0, "pipeline.buffer_seconds", "must be > 0")
-    _check(min_interval >= 0, "pipeline.process_min_interval", "must be >= 0")
-    pipeline = PipelineParams(
-        mode=mode, buffer_seconds=buffer_s, process_min_interval=min_interval
-    )
-
-    g = raw["gps"]
-    lat_scale = _number(g, "gps", "lat_scale")
-    lon_scale = _number(g, "gps", "lon_scale")
-    period = _number(g, "gps", "sample_period")
-    _check(lat_scale != 0, "gps.lat_scale", "must be nonzero")
-    _check(lon_scale != 0, "gps.lon_scale", "must be nonzero")
-    _check(period > 0, "gps.sample_period", "must be > 0")
-    gps = GpsParams(
-        affine=GpsAffine(
-            lat_scale=lat_scale,
-            lat_offset=_number(g, "gps", "lat_offset"),
-            lon_scale=lon_scale,
-            lon_offset=_number(g, "gps", "lon_offset"),
-        ),
-        sample_period=period,
-    )
-
-    return EngineConfig(
-        camera=camera,
-        tracker=tracker,
-        regression=regression,
-        rules=rules,
-        pipeline=pipeline,
-        gps=gps,
-    )
+    """Validate a raw config dict against the section fields and defaults."""
+    user = user or {}
+    for key in user:
+        if key not in DEFAULTS:
+            raise ConfigError(f"{key}: unknown field")
+    kinds = get_type_hints(EngineConfig)
+    return EngineConfig(**{
+        name: _section(kinds[name], user.get(name, {}), name) for name in DEFAULTS
+    })
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> EngineConfig:
@@ -242,32 +181,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    if overrides:
-        for dotted, value in overrides.items():
-            _apply_override(user, dotted, value)
-    return build_config(user)
-
-
-def _apply_override(user: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    schema: Any = DEFAULTS
-    for part in parts[:-1]:
-        if not isinstance(schema, dict) or part not in schema:
+    flags = override_flags()
+    for dotted, value in (overrides or {}).items():
+        if dotted not in flags:
             raise ConfigError(f"{dotted}: unknown field")
-        schema = schema[part]
-    leaf = parts[-1]
-    if not isinstance(schema, dict) or leaf not in schema or isinstance(schema[leaf], dict):
-        raise ConfigError(f"{dotted}: unknown field")
-    node = user
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[leaf] = value
+        section, leaf = dotted.split(".")
+        user.setdefault(section, {})[leaf] = value
+    return build_config(user)
 
 
 def override_flags() -> List[str]:
     """All dotted override names, for CLI flag generation."""
-    flags = []
-    for section, fields in DEFAULTS.items():
-        for name in fields:
-            flags.append(f"{section}.{name}")
-    return flags
+    return [f"{section}.{name}" for section, names in DEFAULTS.items() for name in names]

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .config import EngineConfig
+from .config import EngineConfig, PipelineParams
 from .gps import GpsFix, TrajectoryLog, sample_trajectory
 from .rules import NearCrashDecision, RuleEngine, event_type_for
 from .streams import FrameRecord
 from .tracker import NonMonotonicFrameError, Tracker
 from .ttc import horizontal_motion, ttc_from_window
 
-PRE_EVENT_SECONDS = 10.0
 POST_EVENT_SECONDS = 10.0
 
 
@@ -211,7 +210,7 @@ class EventRecorder:
 
     def __init__(
         self,
-        pre_seconds: float = PRE_EVENT_SECONDS,
+        pre_seconds: float = PipelineParams.buffer_seconds,
         post_seconds: float = POST_EVENT_SECONDS,
         sink: Optional[Callable[[NearCrashEvent], None]] = None,
     ):
@@ -393,7 +392,7 @@ class _Processor:
 
     def _snapshot(self, trk, decision: NearCrashDecision, t: float) -> TriggerSnapshot:
         pre_ids = tuple(
-            s.frame_id for s in self.context.frames_since(t - PRE_EVENT_SECONDS)
+            s.frame_id for s in self.context.frames_since(t - self.context.span_seconds)
         )
         snap = TriggerSnapshot(
             event_id=self._next_event_id,
@@ -452,25 +451,27 @@ def _make_trajectory(
 
 
 def _run_offline(source, config, gps_fixes, event_sink, on_frame, collect_annotations):
-    recorder = EventRecorder(sink=event_sink)
+    recorder = EventRecorder(pre_seconds=config.pipeline.buffer_seconds, sink=event_sink)
     proc = _Processor(
         config, gps_fixes, recorder.on_frame, recorder.on_trigger, collect_annotations
     )
     error = None
     start = time.monotonic()
     frames = iter(source)
-    while True:
-        try:
-            frame = next(frames)
-        except StopIteration:
-            break
-        except Exception as exc:
-            error = f"source error: {exc}"
-            break
-        proc.process(frame)
-        if on_frame is not None:
-            on_frame(frame)
-    recorder.finish(proc.last_t)
+    try:
+        while True:
+            try:
+                frame = next(frames)
+            except StopIteration:
+                break
+            except Exception as exc:
+                error = f"source error: {exc}"
+                break
+            proc.process(frame)
+            if on_frame is not None:
+                on_frame(frame)
+    finally:
+        recorder.finish(proc.last_t)
     wall = time.monotonic() - start
     report = ThroughputReport(
         frames_produced=proc.processed + proc.rejected,
@@ -493,7 +494,7 @@ def _run_offline(source, config, gps_fixes, event_sink, on_frame, collect_annota
 def _run_live(source, config, gps_fixes, event_sink, on_frame, collect_annotations):
     frame_queue = LatestFrameQueue()
     recorder_queue: SimpleQueue = SimpleQueue()
-    recorder = EventRecorder(sink=event_sink)
+    recorder = EventRecorder(pre_seconds=config.pipeline.buffer_seconds, sink=event_sink)
 
     produced = 0
     producer_error: List[str] = []
@@ -536,21 +537,26 @@ def _run_live(source, config, gps_fixes, event_sink, on_frame, collect_annotatio
     min_interval = config.pipeline.process_min_interval
     start = time.monotonic()
     next_allowed = start
-    while True:
-        frame = frame_queue.get()
-        if frame is None:
-            break
-        if min_interval > 0:
-            now = time.monotonic()
-            if now < next_allowed:
-                time.sleep(next_allowed - now)
-            next_allowed = max(next_allowed + min_interval, now)
-        proc.process(frame)
-        if on_frame is not None:
-            on_frame(frame)
-    producer.join()
-    recorder_queue.put(("end", proc.last_t))
-    recorder_thread.join()
+    try:
+        while True:
+            frame = frame_queue.get()
+            if frame is None:
+                break
+            if min_interval > 0:
+                now = time.monotonic()
+                if now < next_allowed:
+                    time.sleep(next_allowed - now)
+                next_allowed = max(next_allowed + min_interval, now)
+            proc.process(frame)
+            if on_frame is not None:
+                on_frame(frame)
+    finally:
+        # on a failure the producer stops at its next put() on the closed
+        # queue, and the recorder still finalizes every pending event
+        frame_queue.close()
+        producer.join()
+        recorder_queue.put(("end", proc.last_t))
+        recorder_thread.join()
     wall = time.monotonic() - start
 
     report = ThroughputReport(

@@ -14,10 +14,12 @@ A per-track cooldown suppresses re-triggering on the same encounter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .streams import CameraSpec
 from .ttc import MotionEstimate, TtcEstimate, normalized_center
+
+if TYPE_CHECKING:  # config imports this module for RuleConfig
+    from .config import FrameGeometry
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ def check_motion_rule(
     motion: Optional[MotionEstimate],
     latest_cx: float,
     latest_by: float,
-    camera: CameraSpec,
+    camera: FrameGeometry,
     cfg: RuleConfig,
 ) -> Tuple[bool, float]:
     """Evaluate the horizontal-motion band; returns (passed, product).
@@ -90,7 +92,7 @@ def event_type_for(kind: str) -> str:
 class RuleEngine:
     """Applies both rules per track per frame with trigger debouncing."""
 
-    def __init__(self, cfg: RuleConfig, camera: CameraSpec):
+    def __init__(self, cfg: RuleConfig, camera: FrameGeometry):
         self.cfg = cfg
         self.camera = camera
         self._last_trigger: Dict[int, float] = {}

@@ -13,6 +13,7 @@ pipeline, so external detectors only need to emit these lines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple
 
@@ -27,11 +28,10 @@ class StreamFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CameraSpec:
-    """Pinhole camera and frame geometry.
+    """Pinhole camera of the scenario simulator.
 
-    The detection engine itself only uses the frame dimensions and the
-    principal column; the focal length matters only when projecting
-    synthetic scenes.
+    The detection engine never sees a focal length: its camera section is
+    the frame geometry alone (`config.FrameGeometry`).
     """
 
     focal_px: float
@@ -63,6 +63,8 @@ class Detection:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.box
+        if not all(map(math.isfinite, self.box)):
+            raise ValueError(f"non-finite box {self.box}")
         if not (x2 > x1 and y2 > y1):
             raise ValueError(f"degenerate box {self.box}")
         if not (0.0 <= self.confidence <= 1.0):
@@ -118,6 +120,8 @@ def frame_from_json(line: str, lineno: int = 0) -> FrameRecord:
         obj = json.loads(line)
         frame_id = int(obj["frame_id"])
         t = float(obj["t_seconds"])
+        if not math.isfinite(t):
+            raise ValueError(f"non-finite t_seconds {t}")
         dets = [
             Detection(
                 t=t,

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .streams import CameraSpec
+if TYPE_CHECKING:  # config imports this module through rules
+    from .config import FrameGeometry
 
 
 class DegenerateFitError(ValueError):
@@ -155,7 +156,7 @@ class MotionEstimate:
     n: int
 
 
-def normalized_center(cx: float, camera: CameraSpec, c_los: Optional[float] = None) -> float:
+def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] = None) -> float:
     if c_los is None:
         c_los = camera.principal_x
     return (cx - c_los) / (camera.frame_width / 2.0)
@@ -164,7 +165,7 @@ def normalized_center(cx: float, camera: CameraSpec, c_los: Optional[float] = No
 def horizontal_motion(
     window: SampleWindow,
     center_window_len: int,
-    camera: CameraSpec,
+    camera: FrameGeometry,
     c_los: Optional[float] = None,
 ) -> Optional[MotionEstimate]:
     """Drift rate of the box center, None while warming up."""

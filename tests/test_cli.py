@@ -154,6 +154,23 @@ class TestRunAndEval:
         code = run_cli("run", str(bad), "--out-dir", str(workdir / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '"t_seconds": NaN, "detections": []',
+            '"t_seconds": Infinity, "detections": []',
+            '"t_seconds": 0.1, "detections": [{"class": "vehicle", "confidence": 1.0, '
+            '"x1": 1.0, "y1": 1.0, "x2": Infinity, "y2": 9.0}]',
+        ],
+        ids=["nan_t", "infinite_t", "infinite_box_edge"],
+    )
+    def test_non_finite_stream_value_is_input_error(self, workdir, capsys, bad):
+        stream = workdir / "bad.jsonl"
+        stream.write_text('{"frame_id": 0, "t_seconds": 0.0, "detections": []}\n'
+                          f'{{"frame_id": 1, {bad}}}\n')
+        assert run_cli("run", str(stream), "--out-dir", str(workdir / "x")) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_eval_matches_field_result_numbers(self, workdir, capsys):
         preds = [{"video_id": f"v{i}", "time": 10.0} for i in range(34 + 7)]
         gts = [{"video_id": f"v{i}", "time": 12.0} for i in range(34)]
@@ -237,3 +254,4 @@ class TestHelp:
             run_cli("--help")
         assert exc.value.code == 0
         assert list(workdir.iterdir()) == []
+

@@ -5,7 +5,16 @@ from importlib import resources
 
 import pytest
 
-from nearcrash.config import DEFAULTS, ConfigError, build_config, load_config, override_flags
+from nearcrash.config import (
+    DEFAULTS,
+    ConfigError,
+    EngineConfig,
+    FrameGeometry,
+    build_config,
+    load_config,
+    override_flags,
+)
+from nearcrash.gps import GpsAffine
 
 
 class TestDefaults:
@@ -35,6 +44,17 @@ class TestDefaults:
         cfg = build_config()
         assert cfg.rules.c_los is None
         assert cfg.camera.principal_x == 640.0
+
+    def test_defaults_are_the_declared_field_defaults(self):
+        cfg = build_config()
+        assert cfg == EngineConfig()
+        assert cfg.gps.affine == GpsAffine()
+
+    def test_camera_is_frame_geometry_without_focal_length(self):
+        camera = build_config({"camera": {"frame_width": 1000}}).camera
+        assert camera == FrameGeometry(frame_width=1000.0)
+        assert not hasattr(camera, "focal_px")
+        assert camera.principal_x == 500.0
 
     def test_bundled_template_matches_defaults(self):
         text = resources.files("nearcrash").joinpath("configs/default.json").read_text()

@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from nearcrash.pipeline import (
     run,
 )
 from nearcrash.sim import generate_detections, label_ground_truth_events
+from nearcrash.streams import FrameRecord
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -268,6 +270,34 @@ class TestOfflineRun:
         assert result.events[0].gps is None
         assert result.trajectory is None
 
+    def test_clip_start_follows_buffer_seconds(self):
+        # head_on after 5 s of empty frames: the clip's pre-event span is
+        # buffer_seconds, so clip_start agrees with the first frame id
+        scenario = load_bundled_scenario("head_on")
+        lead = int(5 * scenario.camera.fps)
+        frames = [FrameRecord(frame_id=k, t=k / scenario.camera.fps) for k in range(lead)]
+        for f in generate_detections(scenario):
+            dets = [replace(d, t=d.t + 5.0, frame_id=d.frame_id + lead) for d in f.detections]
+            frames.append(FrameRecord(frame_id=f.frame_id + lead, t=f.t + 5.0, detections=dets))
+        cfg = config_for_scenario(scenario, **{"pipeline.buffer_seconds": 1.0})
+        (event,) = run(frames, cfg).events
+        assert event.trigger_time == pytest.approx(5.708, abs=0.05)
+        assert event.clip_start == event.trigger_time - 1.0
+        in_clip = [f.frame_id for f in frames if event.clip_start <= f.t <= event.clip_end]
+        assert list(event.frame_ids) == in_clip
+
+
+def lockstep(frames):
+    """A live source that yields each frame only once on_frame saw the last."""
+    seen = threading.Semaphore(0)
+
+    def source():
+        for frame in frames:
+            yield frame
+            seen.acquire(timeout=10)
+
+    return source(), lambda frame: seen.release()
+
 
 class TestLiveRun:
     def test_fast_source_slow_consumer_drops(self):
@@ -284,15 +314,9 @@ class TestLiveRun:
 
     def test_paced_source_no_drops(self):
         scenario = load_bundled_scenario("head_on")
-        frames = generate_detections(scenario)[:24]
-
-        def paced():
-            for frame in frames:
-                yield frame
-                time.sleep(0.005)
-
+        source, step = lockstep(generate_detections(scenario)[:24])
         cfg = config_for_scenario(scenario, **{"pipeline.mode": "live"})
-        result = run(paced(), cfg)
+        result = run(source, cfg, on_frame=step)
         assert result.report.frames_dropped == 0
         assert result.report.frames_processed == 24
 
@@ -317,3 +341,22 @@ class TestLiveRun:
             result.report.frames_processed + result.report.frames_dropped
             == result.report.frames_produced
         )
+
+
+@pytest.mark.parametrize("mode", ["offline", "live"])
+def test_failing_hook_ends_threads_and_flushes_pending_events(mode):
+    scenario = load_bundled_scenario("head_on")
+    source, step = lockstep(generate_detections(scenario)[:41])
+    sunk = []
+
+    def hook(frame):
+        step(frame)
+        if frame.frame_id == 40:
+            raise RuntimeError("hook failed")
+
+    cfg = config_for_scenario(scenario, **{"pipeline.mode": mode})
+    with pytest.raises(RuntimeError, match="hook failed"):
+        run(source, cfg, event_sink=sunk.append, on_frame=hook)
+    assert [t for t in threading.enumerate() if t.name.startswith("nearcrash-")] == []
+    # the trigger at ~0.7 s was still inside its post window
+    assert len(sunk) == 1 and sunk[0].truncated
