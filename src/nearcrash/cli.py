@@ -129,24 +129,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     for warning in gps_warnings:
         print(f"gps warning: {warning}", file=sys.stderr)
 
+    malformed: List[streams.StreamFormatError] = []
+
+    def frames():
+        try:
+            yield from streams.read_detection_stream(stream_fp)
+        except streams.StreamFormatError as exc:
+            malformed.append(exc)
+            raise
+
+    # both modes read the stream lazily, so memory stays bounded offline
     try:
-        if cfg.pipeline.mode == "offline":
-            # materialize up front so parse errors are input errors
-            try:
-                frames = list(streams.read_detection_stream(stream_fp))
-            except streams.StreamFormatError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            # live mode streams lazily so dropping sees real arrival timing;
-            # a malformed line mid-stream is then a runtime (source) failure
-            frames = streams.read_detection_stream(stream_fp)
         result = pipeline.run(
-            frames, cfg, gps_fixes=fixes, collect_annotations=args.debug_annotations
+            frames(), cfg, gps_fixes=fixes, collect_annotations=args.debug_annotations
         )
     finally:
         if stream_fp is not sys.stdin:
             stream_fp.close()
+    # offline, a malformed line is an input error and nothing is written;
+    # live, it is a source failure that ends the run (exit 3 below)
+    if malformed and cfg.pipeline.mode == "offline":
+        print(f"error: {malformed[0]}", file=sys.stderr)
+        return 2
 
     with open(out_dir / "events.json", "w", encoding="utf-8") as fp:
         json.dump([e.to_dict() for e in result.events], fp, indent=2, sort_keys=True)

@@ -24,8 +24,9 @@ from typing import (
     Any, Callable, Dict, List, Literal, Optional, get_args, get_origin, get_type_hints,
 )
 
-from .gps import GpsAffine
+from .gps import SAMPLE_PERIOD_S, GpsAffine
 from .rules import RuleConfig
+from .ttc import SLOPE_EPSILON
 
 
 class ConfigError(ValueError):
@@ -74,7 +75,7 @@ class TrackerParams:
 class RegressionParams:
     size_window_len: int = _at_least(12, 2)
     center_window_len: int = _at_least(18, 2)
-    slope_epsilon: float = _positive(0.001)
+    slope_epsilon: float = _positive(SLOPE_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class GpsParams:
     lat_offset: float = GpsAffine.lat_offset
     lon_scale: float = _nonzero(GpsAffine.lon_scale)
     lon_offset: float = GpsAffine.lon_offset
-    sample_period: float = _positive(3.0)
+    sample_period: float = _positive(SAMPLE_PERIOD_S)
 
     @property
     def affine(self) -> GpsAffine:

@@ -99,7 +99,12 @@ class TrajectoryLog:
         ]
 
 
-def sample_trajectory(fixes: Iterable[GpsFix], period: float = 3.0) -> TrajectoryLog:
+SAMPLE_PERIOD_S = 3.0
+
+
+def sample_trajectory(
+    fixes: Iterable[GpsFix], period: float = SAMPLE_PERIOD_S
+) -> TrajectoryLog:
     """Keep the first fix, then the next fix at least `period` seconds later."""
     if period <= 0:
         raise ValueError("period must be > 0")

@@ -1,16 +1,20 @@
-"""Three-stage detection runtime.
+"""Detection runtime: one processing loop for offline and live mode.
 
-Stages: a frame source (producer), the processing loop that owns tracker
-and rule state (single consumer), and an event recorder that assembles
-near-crash records with surrounding context.
+The loop owns tracker, rule and context state. For each frame it runs
+the tracker, the TTC and motion fits and the rules, then feeds the event
+recorder, which assembles near-crash records with surrounding context.
+The recorder runs inline in the loop in both modes.
 
-Two modes share one engine. Offline mode consumes every frame in order,
-so results are reproducible byte for byte. Live mode couples the source
-to the processor through a capacity-one latest-wins queue: when frames
-arrive faster than they can be processed, older unconsumed frames are
-counted as dropped and never delivered, and the processor always sees the
-freshest frame. The processor-to-recorder channel is lossless and never
-blocks the processor, so slow event persistence cannot stall detection.
+Offline mode reads every frame straight from the source, in order, so
+results are reproducible byte for byte. Live mode reads the source in a
+producer thread and couples it to the loop through a capacity-one
+latest-wins queue: when frames arrive faster than they can be processed,
+an unconsumed frame is replaced by the newer one and counted as dropped,
+so the loop always sees the freshest frame. A frame put while the loop
+is already waiting is handed to it and never replaced, so an idle loop
+loses no frame. The event sink, the one call that may block for long,
+runs on a single worker thread in live mode, so slow event persistence
+cannot stall detection.
 
 Frame timestamps always come from the source (capture time), never from
 processing time.
@@ -21,8 +25,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from queue import SimpleQueue
+from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .config import EngineConfig, PipelineParams
@@ -39,37 +43,50 @@ class LatestFrameQueue:
     """Capacity-one channel where a new item replaces an unconsumed one.
 
     Replaced items are counted as dropped. get() blocks until an item is
-    available or the queue is closed and drained, then returns None.
+    available or the queue is closed and drained, then returns None. An
+    item put while a consumer is blocked in get() is promised to it: put()
+    returns only once it is taken (or the queue is closed), and no later
+    put() replaces it.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
         self._item = None
         self._has_item = False
+        self._promised = False
+        self._waiting = 0  # consumers blocked in get()
         self._closed = False
         self._dropped = 0
 
     def put(self, item) -> None:
         with self._cond:
+            while self._promised and not self._closed:
+                self._cond.wait()
             if self._closed:
                 raise RuntimeError("put() on a closed queue")
             if self._has_item:
                 self._dropped += 1
             self._item = item
             self._has_item = True
-            self._cond.notify()
+            self._promised = self._waiting > 0
+            self._cond.notify_all()
+            while self._promised and not self._closed:
+                self._cond.wait()
 
-    def get(self, timeout: Optional[float] = None):
+    def get(self):
         with self._cond:
+            self._waiting += 1
             while not self._has_item and not self._closed:
-                if not self._cond.wait(timeout):
-                    raise TimeoutError("no frame within timeout")
-            if self._has_item:
-                item = self._item
-                self._item = None
-                self._has_item = False
-                return item
-            return None
+                self._cond.wait()
+            self._waiting -= 1
+            if not self._has_item:
+                return None
+            item = self._item
+            self._item = None
+            self._has_item = False
+            self._promised = False
+            self._cond.notify_all()
+            return item
 
     def close(self) -> None:
         with self._cond:
@@ -181,22 +198,7 @@ class NearCrashEvent:
     motion_product: float
 
     def to_dict(self) -> dict:
-        return {
-            "event_id": self.event_id,
-            "track_id": self.track_id,
-            "event_type": self.event_type,
-            "trigger_time": self.trigger_time,
-            "ttc_h": self.ttc_h,
-            "ttc_w": self.ttc_w,
-            "gps": self.gps,
-            "clip_start": self.clip_start,
-            "clip_end": self.clip_end,
-            "frame_ids": list(self.frame_ids),
-            "truncated": self.truncated,
-            "size_rule_pass": self.size_rule_pass,
-            "motion_rule_pass": self.motion_rule_pass,
-            "motion_product": self.motion_product,
-        }
+        return {**asdict(self), "frame_ids": list(self.frame_ids)}
 
 
 class EventRecorder:
@@ -205,8 +207,11 @@ class EventRecorder:
     After a trigger it keeps accumulating frame ids until the post window
     elapses; events whose post window runs past the end of the stream are
     truncated there and flagged. Persistence failures keep the event in
-    memory and are reported at shutdown.
+    memory and are reported at shutdown. The sink runs in the calling
+    thread, or on `sink_executor` when one is set (live runs set it).
     """
+
+    sink_executor: Optional[Executor] = None
 
     def __init__(
         self,
@@ -273,11 +278,18 @@ class EventRecorder:
             motion_product=snap.motion_product,
         )
         self.events.append(event)
-        if self.sink is not None:
-            try:
-                self.sink(event)
-            except Exception as exc:  # event stays in memory either way
-                self.sink_failures.append(f"event {event.event_id}: {exc}")
+        if self.sink is None:
+            return
+        if self.sink_executor is None:
+            self._deliver(event)
+        else:
+            self.sink_executor.submit(self._deliver, event)
+
+    def _deliver(self, event: NearCrashEvent) -> None:
+        try:
+            self.sink(event)
+        except Exception as exc:  # event stays in memory either way
+            self.sink_failures.append(f"event {event.event_id}: {exc}")
 
 
 @dataclass
@@ -291,15 +303,7 @@ class ThroughputReport:
     sink_failures: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "frames_produced": self.frames_produced,
-            "frames_processed": self.frames_processed,
-            "frames_dropped": self.frames_dropped,
-            "frames_rejected": self.frames_rejected,
-            "wall_seconds": self.wall_seconds,
-            "achieved_fps": self.achieved_fps,
-            "sink_failures": self.sink_failures,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -318,8 +322,7 @@ class _Processor:
         self,
         config: EngineConfig,
         gps_fixes: Optional[Sequence[GpsFix]],
-        emit_frame: Callable[[int, float], None],
-        emit_trigger: Callable[[TriggerSnapshot], None],
+        recorder: EventRecorder,
         collect_annotations: bool,
     ):
         self.config = config
@@ -332,12 +335,11 @@ class _Processor:
         )
         self.engine = RuleEngine(config.rules, config.camera)
         self.context = ContextBuffer(config.pipeline.buffer_seconds)
-        self.emit_frame = emit_frame
-        self.emit_trigger = emit_trigger
+        self.recorder = recorder
         self.annotations: Optional[List[FrameSummary]] = (
             [] if collect_annotations else None
         )
-        self._fixes = sorted(gps_fixes, key=lambda f: f.t) if gps_fixes else []
+        self.fixes = sorted(gps_fixes, key=lambda f: f.t) if gps_fixes else []
         self._fix_idx = -1
         self.processed = 0
         self.rejected = 0
@@ -351,7 +353,7 @@ class _Processor:
             self.rejected += 1
             return
         cfg = self.config
-        annotations = []
+        annotations = [] if self.annotations is not None else None
         triggered_decisions = []
         for trk in tracks:
             est = ttc_from_window(
@@ -361,32 +363,34 @@ class _Processor:
                 trk.window, cfg.regression.center_window_len, cfg.camera, cfg.rules.c_los
             )
             decision = self.engine.decide(trk, est, motion, frame.t)
-            annotations.append(
-                TrackAnnotation(
-                    track_id=trk.id,
-                    kind=trk.kind,
-                    box=trk.box(),
-                    ttc_h=est.ttc_h if est else None,
-                    ttc_w=est.ttc_w if est else None,
-                    omega=motion.omega if motion else None,
-                    size_rule_pass=decision.size_rule_pass,
-                    motion_rule_pass=decision.motion_rule_pass,
-                    motion_product=decision.motion_product,
-                    triggered=decision.triggered,
+            if annotations is not None:
+                annotations.append(
+                    TrackAnnotation(
+                        track_id=trk.id,
+                        kind=trk.kind,
+                        box=trk.box(),
+                        ttc_h=est.ttc_h if est else None,
+                        ttc_w=est.ttc_w if est else None,
+                        omega=motion.omega if motion else None,
+                        size_rule_pass=decision.size_rule_pass,
+                        motion_rule_pass=decision.motion_rule_pass,
+                        motion_product=decision.motion_product,
+                        triggered=decision.triggered,
+                    )
                 )
-            )
             if decision.triggered:
                 triggered_decisions.append((trk, decision))
 
+        # the context ring needs only frame ids and times
         summary = FrameSummary(
-            frame_id=frame.frame_id, t=frame.t, tracks=tuple(annotations)
+            frame_id=frame.frame_id, t=frame.t, tracks=tuple(annotations or ())
         )
         self.context.append(summary)
         if self.annotations is not None:
             self.annotations.append(summary)
-        self.emit_frame(frame.frame_id, frame.t)
+        self.recorder.on_frame(frame.frame_id, frame.t)
         for trk, decision in triggered_decisions:
-            self.emit_trigger(self._snapshot(trk, decision, frame.t))
+            self.recorder.on_trigger(self._snapshot(trk, decision, frame.t))
         self.processed += 1
         self.last_t = frame.t
 
@@ -412,14 +416,41 @@ class _Processor:
 
     def _latest_gps(self, t: float) -> Optional[dict]:
         while (
-            self._fix_idx + 1 < len(self._fixes)
-            and self._fixes[self._fix_idx + 1].t <= t
+            self._fix_idx + 1 < len(self.fixes)
+            and self.fixes[self._fix_idx + 1].t <= t
         ):
             self._fix_idx += 1
         if self._fix_idx < 0:
             return None
-        fix = self._fixes[self._fix_idx]
+        fix = self.fixes[self._fix_idx]
         return {"lat": fix.lat_wgs84, "lon": fix.lon_wgs84, "t": fix.t}
+
+
+class _Source:
+    """Iterates a frame source, counting its frames and keeping its failure."""
+
+    def __init__(self, frames: Iterable[FrameRecord]):
+        self.frames = frames
+        self.produced = 0
+        self.error: Optional[str] = None
+
+    def __iter__(self):
+        try:
+            for frame in self.frames:
+                self.produced += 1
+                yield frame
+        except Exception as exc:
+            self.error = f"source error: {exc}"
+
+
+def _produce(source: _Source, queue: LatestFrameQueue) -> None:
+    try:
+        for frame in source:
+            queue.put(frame)
+    except RuntimeError:  # the queue was closed: the processing loop stopped
+        pass
+    finally:
+        queue.close()
 
 
 def run(
@@ -432,137 +463,54 @@ def run(
 ) -> RunResult:
     """Run the engine over a frame source in the configured mode.
 
-    on_frame, when given, is called by the processing stage after each
-    consumed frame (instrumentation hook). event_sink is called by the
-    recorder stage for each finalized event.
+    on_frame, when given, is called by the processing loop after each
+    consumed frame (instrumentation hook). event_sink is called for each
+    finalized event: inline offline, on a worker thread in live mode.
     """
-    if config.pipeline.mode == "live":
-        return _run_live(source, config, gps_fixes, event_sink, on_frame, collect_annotations)
-    return _run_offline(source, config, gps_fixes, event_sink, on_frame, collect_annotations)
-
-
-def _make_trajectory(
-    gps_fixes: Optional[Sequence[GpsFix]], config: EngineConfig
-) -> Optional[TrajectoryLog]:
-    if gps_fixes is None:
-        return None
-    ordered = sorted(gps_fixes, key=lambda f: f.t)
-    return sample_trajectory(ordered, period=config.gps.sample_period)
-
-
-def _run_offline(source, config, gps_fixes, event_sink, on_frame, collect_annotations):
+    live = config.pipeline.mode == "live"
+    frames = _Source(source)
     recorder = EventRecorder(pre_seconds=config.pipeline.buffer_seconds, sink=event_sink)
-    proc = _Processor(
-        config, gps_fixes, recorder.on_frame, recorder.on_trigger, collect_annotations
-    )
-    error = None
+    proc = _Processor(config, gps_fixes, recorder, collect_annotations)
+    min_interval = config.pipeline.process_min_interval if live else 0.0
     start = time.monotonic()
-    frames = iter(source)
-    try:
-        while True:
-            try:
-                frame = next(frames)
-            except StopIteration:
-                break
-            except Exception as exc:
-                error = f"source error: {exc}"
-                break
-            proc.process(frame)
-            if on_frame is not None:
-                on_frame(frame)
-    finally:
-        recorder.finish(proc.last_t)
-    wall = time.monotonic() - start
-    report = ThroughputReport(
-        frames_produced=proc.processed + proc.rejected,
-        frames_processed=proc.processed,
-        frames_dropped=0,
-        frames_rejected=proc.rejected,
-        wall_seconds=wall,
-        achieved_fps=proc.processed / wall if wall > 0 else 0.0,
-        sink_failures=len(recorder.sink_failures),
-    )
-    return RunResult(
-        events=recorder.events,
-        trajectory=_make_trajectory(gps_fixes, config),
-        report=report,
-        annotations=proc.annotations,
-        error=error,
-    )
-
-
-def _run_live(source, config, gps_fixes, event_sink, on_frame, collect_annotations):
-    frame_queue = LatestFrameQueue()
-    recorder_queue: SimpleQueue = SimpleQueue()
-    recorder = EventRecorder(pre_seconds=config.pipeline.buffer_seconds, sink=event_sink)
-
-    produced = 0
-    producer_error: List[str] = []
-
-    def produce():
-        nonlocal produced
-        try:
-            for frame in source:
-                frame_queue.put(frame)
-                produced += 1
-        except Exception as exc:
-            producer_error.append(f"source error: {exc}")
-        finally:
-            frame_queue.close()
-
-    def record():
-        while True:
-            kind, payload = recorder_queue.get()
-            if kind == "frame":
-                recorder.on_frame(*payload)
-            elif kind == "trigger":
-                recorder.on_trigger(payload)
-            else:  # "end"
-                recorder.finish(payload)
-                return
-
-    proc = _Processor(
-        config,
-        gps_fixes,
-        emit_frame=lambda fid, t: recorder_queue.put(("frame", (fid, t))),
-        emit_trigger=lambda snap: recorder_queue.put(("trigger", snap)),
-        collect_annotations=collect_annotations,
-    )
-
-    producer = threading.Thread(target=produce, name="nearcrash-source", daemon=True)
-    recorder_thread = threading.Thread(target=record, name="nearcrash-recorder", daemon=True)
-    producer.start()
-    recorder_thread.start()
-
-    min_interval = config.pipeline.process_min_interval
-    start = time.monotonic()
+    if live:
+        queue = LatestFrameQueue()
+        producer = threading.Thread(
+            target=_produce, args=(frames, queue), name="nearcrash-source", daemon=True
+        )
+        producer.start()
+        feed = iter(queue.get, None)
+        # its worker thread starts with the first event
+        recorder.sink_executor = ThreadPoolExecutor(1, "nearcrash-sink")
+    else:
+        feed = frames
     next_allowed = start
     try:
-        while True:
-            frame = frame_queue.get()
-            if frame is None:
-                break
+        for frame in feed:
             if min_interval > 0:
                 now = time.monotonic()
                 if now < next_allowed:
                     time.sleep(next_allowed - now)
-                next_allowed = max(next_allowed + min_interval, now)
+                next_allowed = max(next_allowed, now) + min_interval
             proc.process(frame)
             if on_frame is not None:
                 on_frame(frame)
     finally:
         # on a failure the producer stops at its next put() on the closed
         # queue, and the recorder still finalizes every pending event
-        frame_queue.close()
-        producer.join()
-        recorder_queue.put(("end", proc.last_t))
-        recorder_thread.join()
+        if live:
+            queue.close()
+            producer.join()
+        try:
+            recorder.finish(proc.last_t)
+        finally:
+            if recorder.sink_executor is not None:
+                recorder.sink_executor.shutdown()
     wall = time.monotonic() - start
-
     report = ThroughputReport(
-        frames_produced=produced,
+        frames_produced=frames.produced,
         frames_processed=proc.processed,
-        frames_dropped=frame_queue.dropped,
+        frames_dropped=queue.dropped if live else 0,
         frames_rejected=proc.rejected,
         wall_seconds=wall,
         achieved_fps=proc.processed / wall if wall > 0 else 0.0,
@@ -570,8 +518,11 @@ def _run_live(source, config, gps_fixes, event_sink, on_frame, collect_annotatio
     )
     return RunResult(
         events=recorder.events,
-        trajectory=_make_trajectory(gps_fixes, config),
+        trajectory=(
+            None if gps_fixes is None
+            else sample_trajectory(proc.fixes, period=config.gps.sample_period)
+        ),
         report=report,
         annotations=proc.annotations,
-        error=producer_error[0] if producer_error else None,
+        error=frames.error,
     )

@@ -8,13 +8,14 @@ horizontal drift rate, the normalized center offset, and the normalized
 bottom-edge distance from the frame bottom, which separates collision
 courses and center-bound drifts from safe passes.
 
-A per-track cooldown suppresses re-triggering on the same encounter.
+A per-track cooldown suppresses re-triggering on the same encounter; the
+time of a track's last trigger is kept on the track itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .ttc import MotionEstimate, TtcEstimate, normalized_center
 
@@ -95,7 +96,6 @@ class RuleEngine:
     def __init__(self, cfg: RuleConfig, camera: FrameGeometry):
         self.cfg = cfg
         self.camera = camera
-        self._last_trigger: Dict[int, float] = {}
 
     def decide(
         self,
@@ -109,9 +109,10 @@ class RuleEngine:
         motion_ok, product = check_motion_rule(
             motion, latest.cx, latest.by, self.camera, self.cfg
         )
-        triggered = size_ok and motion_ok and self._cooldown_over(track.id, now)
+        last = track.last_trigger
+        triggered = size_ok and motion_ok and (last is None or now - last >= self.cfg.cooldown)
         if triggered:
-            self._last_trigger[track.id] = now
+            track.last_trigger = now
         return NearCrashDecision(
             triggered=triggered,
             size_rule_pass=size_ok,
@@ -119,11 +120,3 @@ class RuleEngine:
             ttc=ttc,
             motion_product=product,
         )
-
-    def _cooldown_over(self, track_id: int, now: float) -> bool:
-        last = self._last_trigger.get(track_id)
-        return last is None or now - last >= self.cfg.cooldown
-
-    def forget(self, track_id: int) -> None:
-        """Drop debounce state for a dead track; ids are never reused."""
-        self._last_trigger.pop(track_id, None)

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .config import EngineConfig, TrackerParams
 from .streams import ROAD_USER_KINDS, Box, Detection, FrameRecord
 from .ttc import Sample, SampleWindow
 
@@ -54,6 +55,7 @@ def obs_to_box(u: float, v: float, s: float, r: float) -> Box:
 
 _AREA_FLOOR = 1e-4
 _ASPECT_FLOOR = 1e-4
+_WINDOW_CAPACITY = EngineConfig().window_capacity
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class Track:
         self,
         track_id: int,
         detection: Detection,
-        window_capacity: int = 18,
+        window_capacity: int = _WINDOW_CAPACITY,
         noise: FilterNoise = FilterNoise(),
     ):
         self.id = track_id
@@ -134,6 +136,7 @@ class Track:
         self.hits = 1
         self.age = 0
         self.time_since_update = 0
+        self.last_trigger: Optional[float] = None  # set by RuleEngine.decide
         self.window = SampleWindow(window_capacity)
         self._append_sample(detection)
 
@@ -205,11 +208,11 @@ class Tracker:
 
     def __init__(
         self,
-        confidence_min: float = 0.4,
-        iou_min: float = 0.3,
-        max_age: int = 5,
-        min_hits: int = 3,
-        window_capacity: int = 18,
+        confidence_min: float = TrackerParams.confidence_min,
+        iou_min: float = TrackerParams.iou_min,
+        max_age: int = TrackerParams.max_age,
+        min_hits: int = TrackerParams.min_hits,
+        window_capacity: int = _WINDOW_CAPACITY,
         noise: FilterNoise = FilterNoise(),
     ):
         self.confidence_min = confidence_min

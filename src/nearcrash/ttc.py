@@ -123,6 +123,9 @@ class TtcEstimate:
     slope_w: float
 
 
+SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
+
+
 def _ttc_from_fit(fit: RegressionResult, slope_epsilon: float) -> Optional[float]:
     # The fitted size and rate are most reliable at the window centroid;
     # the predicted closing time is then re-referenced to the newest sample.
@@ -132,7 +135,7 @@ def _ttc_from_fit(fit: RegressionResult, slope_epsilon: float) -> Optional[float
 
 
 def ttc_from_window(
-    window: SampleWindow, size_window_len: int, slope_epsilon: float = 1e-3
+    window: SampleWindow, size_window_len: int, slope_epsilon: float = SLOPE_EPSILON
 ) -> Optional[TtcEstimate]:
     """TTC from the newest size_window_len samples, None while warming up."""
     if len(window) < size_window_len:

@@ -171,6 +171,15 @@ class TestRunAndEval:
         assert run_cli("run", str(stream), "--out-dir", str(workdir / "x")) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_line_mid_stream_writes_nothing(self, workdir, capsys):
+        detections, _ = simulate(workdir, "head_on")
+        lines = detections.read_text().splitlines()
+        detections.write_text("\n".join(lines[:50] + ['{"frame_id": 50}'] + lines[51:]) + "\n")
+        out_dir = workdir / "x"
+        assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 2
+        assert "line 51" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_eval_matches_field_result_numbers(self, workdir, capsys):
         preds = [{"video_id": f"v{i}", "time": 10.0} for i in range(34 + 7)]
         gts = [{"video_id": f"v{i}", "time": 12.0} for i in range(34)]

@@ -19,6 +19,7 @@ from nearcrash.pipeline import (
 )
 from nearcrash.sim import generate_detections, label_ground_truth_events
 from nearcrash.streams import FrameRecord
+from nearcrash.tracker import Track
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -65,6 +66,32 @@ class TestLatestFrameQueue:
         q.put("item")
         thread.join(timeout=2)
         assert got == ["item"]
+
+    def test_item_put_for_a_waiting_consumer_is_not_replaced(self):
+        q = LatestFrameQueue()
+        got = []
+        consumer = threading.Thread(target=lambda: got.append(q.get()), daemon=True)
+        consumer.start()
+        deadline = time.monotonic() + 5
+        while q._waiting == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert q._waiting == 1, "consumer never blocked in get()"
+        q.put(1)
+        q.put(2)
+        consumer.join(timeout=5)
+        assert got == [1]
+        assert q.dropped == 0
+        assert q.get() == 2
+
+    def test_close_releases_a_pending_handoff(self):
+        q = LatestFrameQueue()
+        q._waiting = 1  # as if a consumer were blocked in get()
+        putter = threading.Thread(target=q.put, args=("frame",), daemon=True)
+        putter.start()
+        time.sleep(0.01)
+        q.close()
+        putter.join(timeout=5)
+        assert not putter.is_alive()
 
     def test_random_bursts_always_newest(self):
         # deterministic lockstep: after any burst of puts, get() returns the
@@ -270,6 +297,18 @@ class TestOfflineRun:
         assert result.events[0].gps is None
         assert result.trajectory is None
 
+    def test_track_boxes_built_only_for_annotations(self, monkeypatch):
+        scenario = load_bundled_scenario("head_on")
+        expected = [e.to_dict() for e in run_scenario(scenario).events]
+
+        def no_box(track):
+            raise AssertionError("Track.box() called without annotations")
+
+        monkeypatch.setattr(Track, "box", no_box)
+        result = run(generate_detections(scenario), config_for_scenario(scenario))
+        assert [e.to_dict() for e in result.events] == expected
+        assert result.annotations is None
+
     def test_clip_start_follows_buffer_seconds(self):
         # head_on after 5 s of empty frames: the clip's pre-event span is
         # buffer_seconds, so clip_start agrees with the first frame id
@@ -320,6 +359,22 @@ class TestLiveRun:
         assert result.report.frames_dropped == 0
         assert result.report.frames_processed == 24
 
+    def test_throttle_holds_after_an_idle_gap(self):
+        frames = [FrameRecord(frame_id=k, t=k / 10.0) for k in range(3)]
+
+        def gappy_source():
+            yield frames[0]
+            time.sleep(0.3)
+            yield frames[1]
+            time.sleep(0.01)
+            yield frames[2]
+
+        walls = []
+        cfg = build_config({"pipeline": {"mode": "live", "process_min_interval": 0.1}})
+        result = run(gappy_source(), cfg, on_frame=lambda f: walls.append(time.monotonic()))
+        assert result.report.frames_processed == 3
+        assert walls[2] - walls[1] >= 0.09
+
     def test_consumed_frames_monotonic_and_accounted(self):
         scenario = load_bundled_scenario("head_on")
         frames = generate_detections(scenario)
@@ -341,6 +396,25 @@ class TestLiveRun:
             result.report.frames_processed + result.report.frames_dropped
             == result.report.frames_produced
         )
+
+
+@pytest.mark.parametrize("mode", ["offline", "live"])
+def test_sink_thread(mode):
+    # offline the sink runs inline; live it gets a worker of its own
+    scenario = load_bundled_scenario("head_on")
+    source, step = lockstep(generate_detections(scenario))
+    sink_threads = []
+    cfg = config_for_scenario(scenario, **{"pipeline.mode": mode})
+    result = run(
+        source, cfg,
+        event_sink=lambda e: sink_threads.append(threading.current_thread()),
+        on_frame=step,
+    )
+    assert len(result.events) == 1 and len(sink_threads) == 1
+    if mode == "offline":
+        assert sink_threads[0] is threading.current_thread()
+    else:
+        assert sink_threads[0].name.startswith("nearcrash-sink")
 
 
 @pytest.mark.parametrize("mode", ["offline", "live"])
