@@ -244,7 +244,7 @@ def cmd_gps(args: argparse.Namespace) -> int:
             fp.write("\n")
     print(
         f"kept {len(log.fixes)} of {len(fixes)} fixes "
-        f"({len(warnings)} rows skipped) -> {out_dir}"
+        f"({len(warnings)} rows skipped or reordered) -> {out_dir}"
     )
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_MATCH_WINDOW_S = 10.0
@@ -101,17 +101,7 @@ class EvalReport:
     fps: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_videos": self.n_videos,
-            "n_events": self.n_events,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fps": self.fps,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalReport":

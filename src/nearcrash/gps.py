@@ -67,6 +67,8 @@ class GpsFix:
     def from_raw(
         t: float, lat_raw: float, lon_raw: float, affine: GpsAffine = DEFAULT_AFFINE
     ) -> "GpsFix":
+        if not math.isfinite(t):
+            raise InvalidFixError(f"non-finite fix time {t}")
         lat, lon = convert_raw_to_wgs84(lat_raw, lon_raw, affine)
         return GpsFix(t=t, lat_raw=lat_raw, lon_raw=lon_raw, lat_wgs84=lat, lon_wgs84=lon)
 
@@ -118,20 +120,32 @@ def sample_trajectory(
 def read_fix_csv(
     fp: IO[str], affine: GpsAffine = DEFAULT_AFFINE
 ) -> Tuple[List[GpsFix], List[str]]:
-    """Read a `t,lat_raw,lon_raw` CSV; returns (fixes, row-level warnings)."""
+    """Read a `t,lat_raw,lon_raw` CSV; returns (fixes in time order, row warnings).
+
+    A row that does not parse, or whose time or position is not finite or
+    out of range, is skipped. A row whose time is earlier than an earlier
+    row's is kept and sorted into place. Both get a warning naming the row.
+    """
     fixes: List[GpsFix] = []
     warnings: List[str] = []
+    latest = -math.inf
     reader = csv.DictReader(fp)
     for lineno, row in enumerate(reader, start=2):
         try:
-            fixes.append(
-                GpsFix.from_raw(
-                    float(row["t"]), float(row["lat_raw"]), float(row["lon_raw"]), affine
-                )
+            fix = GpsFix.from_raw(
+                float(row["t"]), float(row["lat_raw"]), float(row["lon_raw"]), affine
             )
         except (KeyError, TypeError, ValueError) as exc:
             warnings.append(f"row {lineno}: skipped ({exc})")
-    return fixes, warnings
+            continue
+        if fix.t < latest:
+            warnings.append(
+                f"row {lineno}: t={fix.t} is before t={latest} of an earlier row; "
+                "sorted into place"
+            )
+        latest = max(latest, fix.t)
+        fixes.append(fix)
+    return sorted(fixes, key=lambda f: f.t), warnings
 
 
 def write_trajectory_csv(log: TrajectoryLog, fp: IO[str]) -> None:

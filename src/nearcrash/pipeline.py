@@ -1,9 +1,11 @@
 """Detection runtime: one processing loop for offline and live mode.
 
-The loop owns tracker, rule and context state. For each frame it runs
-the tracker, the TTC and motion fits and the rules, then feeds the event
-recorder, which assembles near-crash records with surrounding context.
-The recorder runs inline in the loop in both modes.
+The loop owns tracker and rule state. For each frame it runs the
+tracker, passes the frame to the event recorder, and runs the TTC and
+motion fits and the rules for every confirmed track, passing each
+trigger to the recorder. The recorder owns the rest of an event record:
+the pre-event ring of frame ids, the GPS lookup and the event ids. It
+runs inline in the loop in both modes.
 
 Offline mode reads every frame straight from the source, in order, so
 results are reproducible byte for byte. Live mode reads the source in a
@@ -113,18 +115,10 @@ class TrackAnnotation:
     triggered: bool
 
     def to_dict(self) -> dict:
-        return {
-            "track_id": self.track_id,
-            "class": self.kind,
-            "box": list(self.box),
-            "ttc_h": self.ttc_h,
-            "ttc_w": self.ttc_w,
-            "omega": self.omega,
-            "size_rule_pass": self.size_rule_pass,
-            "motion_rule_pass": self.motion_rule_pass,
-            "motion_product": self.motion_product,
-            "triggered": self.triggered,
-        }
+        record = asdict(self)
+        record["class"] = record.pop("kind")
+        record["box"] = list(self.box)
+        return record
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class FrameSummary:
 
 
 class ContextBuffer:
-    """Ring buffer of frame summaries spanning the pre-event window."""
+    """Ring of (frame_id, t) pairs spanning the pre-event window."""
 
     def __init__(self, span_seconds: float):
         if span_seconds <= 0:
@@ -150,34 +144,18 @@ class ContextBuffer:
         self.span_seconds = span_seconds
         self._buf: deque = deque()
 
-    def append(self, summary: FrameSummary) -> None:
-        self._buf.append(summary)
-        cutoff = summary.t - self.span_seconds
-        while self._buf and self._buf[0].t < cutoff:
+    def append(self, frame_id: int, t: float) -> None:
+        self._buf.append((frame_id, t))
+        cutoff = t - self.span_seconds
+        while self._buf[0][1] < cutoff:
             self._buf.popleft()
 
-    def frames_since(self, t_min: float) -> List[FrameSummary]:
-        return [s for s in self._buf if s.t >= t_min]
+    def frames_since(self, t_min: float) -> List[int]:
+        """Ids of the frames at or after t_min, oldest first."""
+        return [frame_id for frame_id, t in self._buf if t >= t_min]
 
     def __len__(self) -> int:
         return len(self._buf)
-
-
-@dataclass(frozen=True)
-class TriggerSnapshot:
-    """Immutable record handed from the processor to the recorder."""
-
-    event_id: int
-    track_id: int
-    event_type: str
-    trigger_time: float
-    ttc_h: Optional[float]
-    ttc_w: Optional[float]
-    motion_product: float
-    size_rule_pass: bool
-    motion_rule_pass: bool
-    gps: Optional[dict]
-    pre_frame_ids: Tuple[int, ...]
 
 
 @dataclass
@@ -191,24 +169,29 @@ class NearCrashEvent:
     gps: Optional[dict]
     clip_start: float
     clip_end: float
-    frame_ids: Tuple[int, ...]
+    frame_ids: List[int]
     truncated: bool
     size_rule_pass: bool
     motion_rule_pass: bool
     motion_product: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "frame_ids": list(self.frame_ids)}
+        return asdict(self)
 
 
 class EventRecorder:
-    """Builds final event records around trigger snapshots.
+    """Builds near-crash event records with their context and location.
 
-    After a trigger it keeps accumulating frame ids until the post window
-    elapses; events whose post window runs past the end of the stream are
-    truncated there and flagged. Persistence failures keep the event in
-    memory and are reported at shutdown. The sink runs in the calling
-    thread, or on `sink_executor` when one is set (live runs set it).
+    The recorder owns everything a record needs: the pre-event ring of
+    frame ids, whose span is the clip's pre-event span, the GPS fixes in
+    time order and the event ids. Call on_frame for every processed frame
+    and then on_trigger for each trigger in that frame. A record is built
+    at its trigger and keeps accumulating frame ids until its post window
+    elapses; a record whose post window runs past the end of the stream is
+    cut at the last frame and flagged truncated by finish().
+    Persistence failures keep the event in memory and are reported at
+    shutdown. The sink runs in the calling thread, or on `sink_executor`
+    when one is set (live runs set it).
     """
 
     sink_executor: Optional[Executor] = None
@@ -218,65 +201,79 @@ class EventRecorder:
         pre_seconds: float = PipelineParams.buffer_seconds,
         post_seconds: float = POST_EVENT_SECONDS,
         sink: Optional[Callable[[NearCrashEvent], None]] = None,
+        gps_fixes: Optional[Sequence[GpsFix]] = None,
     ):
-        self.pre_seconds = pre_seconds
+        self.context = ContextBuffer(pre_seconds)
         self.post_seconds = post_seconds
         self.sink = sink
+        self.fixes = sorted(gps_fixes, key=lambda f: f.t) if gps_fixes else []
         self.events: List[NearCrashEvent] = []
         self.sink_failures: List[str] = []
-        self._pending: List[dict] = []
+        self._pending: List[NearCrashEvent] = []
         self._stream_start: Optional[float] = None
+        self._fix_idx = -1
+        self._next_event_id = 1
 
     def on_frame(self, frame_id: int, t: float) -> None:
         if self._stream_start is None:
             self._stream_start = t
+        self.context.append(frame_id, t)
         still_open = []
-        for p in self._pending:
-            if t <= p["snap"].trigger_time + self.post_seconds:
-                p["frame_ids"].append(frame_id)
-                still_open.append(p)
+        for event in self._pending:
+            if t <= event.clip_end:
+                event.frame_ids.append(frame_id)
+                still_open.append(event)
             else:
-                self._finalize(p, truncated=False)
+                self._finalize(event)
         self._pending = still_open
 
-    def on_trigger(self, snap: TriggerSnapshot) -> None:
-        if self._stream_start is None:
-            self._stream_start = snap.trigger_time
-        # the triggering frame is already in the snapshot's context ids
-        self._pending.append({"snap": snap, "frame_ids": list(snap.pre_frame_ids)})
+    def on_trigger(
+        self, track_id: int, kind: str, t: float, decision: NearCrashDecision
+    ) -> None:
+        """Open the record of a trigger in the frame last passed to on_frame."""
+        pre_start = t - self.context.span_seconds
+        ttc = decision.ttc
+        self._pending.append(
+            NearCrashEvent(
+                event_id=self._next_event_id,
+                track_id=track_id,
+                event_type=event_type_for(kind),
+                trigger_time=t,
+                ttc_h=ttc.ttc_h if ttc else None,
+                ttc_w=ttc.ttc_w if ttc else None,
+                gps=self._latest_gps(t),
+                clip_start=max(pre_start, self._stream_start),
+                clip_end=t + self.post_seconds,
+                # the ring already holds the triggering frame
+                frame_ids=self.context.frames_since(pre_start),
+                truncated=False,
+                size_rule_pass=decision.size_rule_pass,
+                motion_rule_pass=decision.motion_rule_pass,
+                motion_product=decision.motion_product,
+            )
+        )
+        self._next_event_id += 1
 
     def finish(self, stream_end_t: Optional[float]) -> None:
-        for p in self._pending:
-            snap = p["snap"]
-            end = snap.trigger_time + self.post_seconds
-            truncated = stream_end_t is not None and stream_end_t < end
-            self._finalize(p, truncated=truncated, stream_end_t=stream_end_t)
+        for event in self._pending:
+            if stream_end_t is not None and stream_end_t < event.clip_end:
+                event.clip_end = stream_end_t
+                event.truncated = True
+            self._finalize(event)
         self._pending = []
 
-    def _finalize(self, p, truncated: bool, stream_end_t: Optional[float] = None) -> None:
-        snap: TriggerSnapshot = p["snap"]
-        start = snap.trigger_time - self.pre_seconds
-        if self._stream_start is not None:
-            start = max(start, self._stream_start)
-        end = snap.trigger_time + self.post_seconds
-        if truncated and stream_end_t is not None:
-            end = min(end, stream_end_t)
-        event = NearCrashEvent(
-            event_id=snap.event_id,
-            track_id=snap.track_id,
-            event_type=snap.event_type,
-            trigger_time=snap.trigger_time,
-            ttc_h=snap.ttc_h,
-            ttc_w=snap.ttc_w,
-            gps=snap.gps,
-            clip_start=start,
-            clip_end=end,
-            frame_ids=tuple(p["frame_ids"]),
-            truncated=truncated,
-            size_rule_pass=snap.size_rule_pass,
-            motion_rule_pass=snap.motion_rule_pass,
-            motion_product=snap.motion_product,
-        )
+    def _latest_gps(self, t: float) -> Optional[dict]:
+        while (
+            self._fix_idx + 1 < len(self.fixes)
+            and self.fixes[self._fix_idx + 1].t <= t
+        ):
+            self._fix_idx += 1
+        if self._fix_idx < 0:
+            return None
+        fix = self.fixes[self._fix_idx]
+        return {"lat": fix.lat_wgs84, "lon": fix.lon_wgs84, "t": fix.t}
+
+    def _finalize(self, event: NearCrashEvent) -> None:
         self.events.append(event)
         if self.sink is None:
             return
@@ -316,14 +313,10 @@ class RunResult:
 
 
 class _Processor:
-    """Single owner of tracker, rule, and context state."""
+    """Single owner of tracker and rule state."""
 
     def __init__(
-        self,
-        config: EngineConfig,
-        gps_fixes: Optional[Sequence[GpsFix]],
-        recorder: EventRecorder,
-        collect_annotations: bool,
+        self, config: EngineConfig, recorder: EventRecorder, collect_annotations: bool
     ):
         self.config = config
         self.tracker = Tracker(
@@ -334,17 +327,13 @@ class _Processor:
             window_capacity=config.window_capacity,
         )
         self.engine = RuleEngine(config.rules, config.camera)
-        self.context = ContextBuffer(config.pipeline.buffer_seconds)
         self.recorder = recorder
         self.annotations: Optional[List[FrameSummary]] = (
             [] if collect_annotations else None
         )
-        self.fixes = sorted(gps_fixes, key=lambda f: f.t) if gps_fixes else []
-        self._fix_idx = -1
         self.processed = 0
         self.rejected = 0
         self.last_t: Optional[float] = None
-        self._next_event_id = 1
 
     def process(self, frame: FrameRecord) -> None:
         try:
@@ -353,8 +342,8 @@ class _Processor:
             self.rejected += 1
             return
         cfg = self.config
+        self.recorder.on_frame(frame.frame_id, frame.t)
         annotations = [] if self.annotations is not None else None
-        triggered_decisions = []
         for trk in tracks:
             est = ttc_from_window(
                 trk.window, cfg.regression.size_window_len, cfg.regression.slope_epsilon
@@ -379,51 +368,11 @@ class _Processor:
                     )
                 )
             if decision.triggered:
-                triggered_decisions.append((trk, decision))
-
-        # the context ring needs only frame ids and times
-        summary = FrameSummary(
-            frame_id=frame.frame_id, t=frame.t, tracks=tuple(annotations or ())
-        )
-        self.context.append(summary)
-        if self.annotations is not None:
-            self.annotations.append(summary)
-        self.recorder.on_frame(frame.frame_id, frame.t)
-        for trk, decision in triggered_decisions:
-            self.recorder.on_trigger(self._snapshot(trk, decision, frame.t))
+                self.recorder.on_trigger(trk.id, trk.kind, frame.t, decision)
+        if annotations is not None:
+            self.annotations.append(FrameSummary(frame.frame_id, frame.t, tuple(annotations)))
         self.processed += 1
         self.last_t = frame.t
-
-    def _snapshot(self, trk, decision: NearCrashDecision, t: float) -> TriggerSnapshot:
-        pre_ids = tuple(
-            s.frame_id for s in self.context.frames_since(t - self.context.span_seconds)
-        )
-        snap = TriggerSnapshot(
-            event_id=self._next_event_id,
-            track_id=trk.id,
-            event_type=event_type_for(trk.kind),
-            trigger_time=t,
-            ttc_h=decision.ttc.ttc_h if decision.ttc else None,
-            ttc_w=decision.ttc.ttc_w if decision.ttc else None,
-            motion_product=decision.motion_product,
-            size_rule_pass=decision.size_rule_pass,
-            motion_rule_pass=decision.motion_rule_pass,
-            gps=self._latest_gps(t),
-            pre_frame_ids=pre_ids,
-        )
-        self._next_event_id += 1
-        return snap
-
-    def _latest_gps(self, t: float) -> Optional[dict]:
-        while (
-            self._fix_idx + 1 < len(self.fixes)
-            and self.fixes[self._fix_idx + 1].t <= t
-        ):
-            self._fix_idx += 1
-        if self._fix_idx < 0:
-            return None
-        fix = self.fixes[self._fix_idx]
-        return {"lat": fix.lat_wgs84, "lon": fix.lon_wgs84, "t": fix.t}
 
 
 class _Source:
@@ -469,8 +418,10 @@ def run(
     """
     live = config.pipeline.mode == "live"
     frames = _Source(source)
-    recorder = EventRecorder(pre_seconds=config.pipeline.buffer_seconds, sink=event_sink)
-    proc = _Processor(config, gps_fixes, recorder, collect_annotations)
+    recorder = EventRecorder(
+        pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes
+    )
+    proc = _Processor(config, recorder, collect_annotations)
     min_interval = config.pipeline.process_min_interval if live else 0.0
     start = time.monotonic()
     if live:
@@ -520,7 +471,7 @@ def run(
         events=recorder.events,
         trajectory=(
             None if gps_fixes is None
-            else sample_trajectory(proc.fixes, period=config.gps.sample_period)
+            else sample_trajectory(recorder.fixes, period=config.gps.sample_period)
         ),
         report=report,
         annotations=proc.annotations,

@@ -11,7 +11,6 @@ because frame intervals are not assumed uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,18 +56,12 @@ _AREA_FLOOR = 1e-4
 _ASPECT_FLOOR = 1e-4
 _WINDOW_CAPACITY = EngineConfig().window_capacity
 
-
-@dataclass(frozen=True)
-class FilterNoise:
-    """Kalman noise scales (SORT defaults); process noise is scaled by dt."""
-
-    measurement_pos: float = 1.0
-    measurement_size: float = 10.0
-    initial_pos: float = 10.0
-    initial_vel: float = 10000.0
-    process_pos: float = 1.0
-    process_vel: float = 0.01
-    process_area_vel: float = 0.0001
+# SORT's noise scales (Bewley et al. 2016): initial covariance, measurement
+# noise and process noise, the last scaled by dt
+_P0 = np.diag([10.0] * 4 + [10000.0] * 3)
+_R = np.diag([1.0] * 2 + [10.0] * 2)
+_Q = np.diag([1.0] * 4 + [0.01] * 2 + [0.0001])
+_H = np.eye(4, 7)
 
 
 class KalmanBoxFilter:
@@ -77,23 +70,10 @@ class KalmanBoxFilter:
     The aspect ratio r carries no velocity and only moves on updates.
     """
 
-    def __init__(self, box: Box, noise: FilterNoise = FilterNoise()):
-        self.noise = noise
+    def __init__(self, box: Box):
         self.x = np.zeros(7)
         self.x[:4] = box_to_obs(box)
-        self.P = np.diag(
-            [noise.initial_pos] * 4 + [noise.initial_vel] * 3
-        ).astype(float)
-        self.R = np.diag(
-            [noise.measurement_pos] * 2 + [noise.measurement_size] * 2
-        ).astype(float)
-        self.Q = np.diag(
-            [noise.process_pos] * 4
-            + [noise.process_vel] * 2
-            + [noise.process_area_vel]
-        ).astype(float)
-        self.H = np.zeros((4, 7))
-        self.H[:4, :4] = np.eye(4)
+        self.P = _P0.copy()
 
     def predict(self, dt: float) -> Box:
         if dt < 0:
@@ -102,17 +82,17 @@ class KalmanBoxFilter:
             F = np.eye(7)
             F[0, 4] = F[1, 5] = F[2, 6] = dt
             self.x = F @ self.x
-            self.P = F @ self.P @ F.T + self.Q * dt
+            self.P = F @ self.P @ F.T + _Q * dt
         self.x[2] = max(self.x[2], _AREA_FLOOR)
         return self.box()
 
     def update(self, box: Box) -> None:
         z = box_to_obs(box)
-        y = z - self.H @ self.x
-        S = self.H @ self.P @ self.H.T + self.R
-        K = self.P @ self.H.T @ np.linalg.inv(S)
+        y = z - _H @ self.x
+        S = _H @ self.P @ _H.T + _R
+        K = self.P @ _H.T @ np.linalg.inv(S)
         self.x = self.x + K @ y
-        self.P = (np.eye(7) - K @ self.H) @ self.P
+        self.P = (np.eye(7) - K @ _H) @ self.P
         self.x[2] = max(self.x[2], _AREA_FLOOR)
         self.x[3] = max(self.x[3], _ASPECT_FLOOR)
 
@@ -128,11 +108,10 @@ class Track:
         track_id: int,
         detection: Detection,
         window_capacity: int = _WINDOW_CAPACITY,
-        noise: FilterNoise = FilterNoise(),
     ):
         self.id = track_id
         self.kind = detection.kind
-        self.kf = KalmanBoxFilter(detection.box, noise)
+        self.kf = KalmanBoxFilter(detection.box)
         self.hits = 1
         self.age = 0
         self.time_since_update = 0
@@ -213,14 +192,12 @@ class Tracker:
         max_age: int = TrackerParams.max_age,
         min_hits: int = TrackerParams.min_hits,
         window_capacity: int = _WINDOW_CAPACITY,
-        noise: FilterNoise = FilterNoise(),
     ):
         self.confidence_min = confidence_min
         self.iou_min = iou_min
         self.max_age = max_age
         self.min_hits = min_hits
         self.window_capacity = window_capacity
-        self.noise = noise
         self.tracks: List[Track] = []
         self._next_id = 1
         self._last_t: Optional[float] = None
@@ -251,7 +228,7 @@ class Tracker:
             self.tracks[ti].update(detections[dj])
         for dj in unmatched_d:
             self.tracks.append(
-                Track(self._next_id, detections[dj], self.window_capacity, self.noise)
+                Track(self._next_id, detections[dj], self.window_capacity)
             )
             self._next_id += 1
 

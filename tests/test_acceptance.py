@@ -17,8 +17,8 @@ import pytest
 from nearcrash.config import build_config
 from nearcrash.evaluation import ScoredEvent, f1, make_report, render_table, score
 from nearcrash.gps import EARTH_RADIUS_M, convert_raw_to_wgs84, speed_between, GpsFix
-from nearcrash.pipeline import EventRecorder, LatestFrameQueue, TriggerSnapshot, run
-from nearcrash.rules import RuleConfig, RuleEngine
+from nearcrash.pipeline import EventRecorder, LatestFrameQueue, run
+from nearcrash.rules import NearCrashDecision, RuleConfig, RuleEngine
 from nearcrash.sim import (
     ActorSpec,
     ScenarioSpec,
@@ -353,13 +353,12 @@ def test_criterion_8_event_record_contract():
             due = [trig for trig in pending if t >= trig]
             for trig in due:
                 recorder.on_trigger(
-                    TriggerSnapshot(
-                        event_id=pending[trig], track_id=pending[trig],
-                        event_type="vehicle-vehicle", trigger_time=t,
-                        ttc_h=2.0, ttc_w=4.0, motion_product=0.0,
-                        size_rule_pass=True, motion_rule_pass=True,
-                        gps=None, pre_frame_ids=(k,),
-                    )
+                    pending[trig], "vehicle", t,
+                    NearCrashDecision(
+                        triggered=True, size_rule_pass=True, motion_rule_pass=True,
+                        ttc=TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=5.0, slope_w=5.0),
+                        motion_product=0.0,
+                    ),
                 )
                 del pending[trig]
             last_t = t

@@ -228,6 +228,27 @@ class TestGpsCommand:
         assert "warning" in captured.err
         assert "1 rows skipped" in captured.out
 
+    def test_shuffled_fixes_sampled_as_by_run(self, workdir, capsys):
+        # the same trajectory from `gps` and from `run --gps`, with every
+        # out-of-order row reported
+        order = [6, 9, 0, 3, 11, 2, 8, 5, 1, 10, 7, 4]
+        csv = workdir / "shuffled.csv"
+        csv.write_text("t,lat_raw,lon_raw\n" + "".join(f"{t},0,{t / 1000}\n" for t in order))
+        detections, _ = simulate(workdir, "head_on")
+        assert run_cli("gps", str(csv), "--out-dir", str(workdir / "gpsout")) == 0
+        captured = capsys.readouterr()
+        assert "kept 4 of 12 fixes" in captured.out
+        warned = [line.split(":")[1].strip() for line in captured.err.splitlines()]
+        assert warned == [f"row {r}" for r in (4, 5, 7, 8, 9, 10, 11, 12, 13)]
+        code = run_cli(
+            "run", str(detections), "--gps", str(csv), "--out-dir", str(workdir / "runout")
+        )
+        assert code == 0
+        gps_csv = (workdir / "gpsout" / "trajectory.csv").read_text()
+        assert gps_csv == (workdir / "runout" / "trajectory.csv").read_text()
+        kept = [line.split(",")[0] for line in gps_csv.splitlines()[1:]]
+        assert kept == ["0.0", "3.0", "6.0", "9.0"]
+
     def test_event_overlay(self, workdir):
         csv = workdir / "fixes.csv"
         csv.write_text("t,lat_raw,lon_raw\n0,0,0\n")

@@ -126,6 +126,19 @@ class TestIo:
         assert len(warnings) == 2
         assert "row 3" in warnings[0]
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_skipped_with_row_number(self, t):
+        csv_text = f"t,lat_raw,lon_raw\n0,10,10\n{t},10,10\n3,10.1,10\n"
+        fixes, warnings = read_fix_csv(io.StringIO(csv_text))
+        assert [f.t for f in fixes] == [0.0, 3.0]
+        assert len(warnings) == 1 and warnings[0].startswith("row 3: skipped")
+
+    def test_out_of_order_rows_sorted_and_each_warned(self):
+        csv_text = "t,lat_raw,lon_raw\n5,10,10\n3,10,10\n4,10,10\n6,10,10\n"
+        fixes, warnings = read_fix_csv(io.StringIO(csv_text))
+        assert [f.t for f in fixes] == [3.0, 4.0, 5.0, 6.0]
+        assert [w.split(":")[0] for w in warnings] == ["row 3", "row 4"]
+
     def test_write_trajectory_csv_one_speed_for_two_fixes(self):
         fixes = [fix(0.0, 10.0, 10.0), fix(3.0, 10.001, 10.0)]
         log = sample_trajectory(fixes, period=3.0)

@@ -6,20 +6,21 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nearcrash.config import build_config
 from nearcrash.gps import GpsFix
 from nearcrash.pipeline import (
     ContextBuffer,
     EventRecorder,
-    FrameSummary,
     LatestFrameQueue,
-    TriggerSnapshot,
     run,
 )
+from nearcrash.rules import NearCrashDecision
 from nearcrash.sim import generate_detections, label_ground_truth_events
 from nearcrash.streams import FrameRecord
 from nearcrash.tracker import Track
+from nearcrash.ttc import TtcEstimate
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -109,20 +110,13 @@ class TestLatestFrameQueue:
             assert q.get() == next_id - 1
 
 
-def snap(event_id, track_id, t, pre_ids=()):
-    return TriggerSnapshot(
-        event_id=event_id,
-        track_id=track_id,
-        event_type="vehicle-vehicle",
-        trigger_time=t,
-        ttc_h=2.0,
-        ttc_w=4.0,
-        motion_product=0.0,
-        size_rule_pass=True,
-        motion_rule_pass=True,
-        gps=None,
-        pre_frame_ids=tuple(pre_ids),
-    )
+TRIGGER = NearCrashDecision(
+    triggered=True,
+    size_rule_pass=True,
+    motion_rule_pass=True,
+    ttc=TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=1.0, slope_w=1.0),
+    motion_product=0.0,
+)
 
 
 class TestEventRecorder:
@@ -136,7 +130,7 @@ class TestEventRecorder:
             t = k / fps
             recorder.on_frame(k, t)
             if pending and t >= pending[0]:
-                recorder.on_trigger(snap(eid, eid, t, pre_ids=range(max(0, k - 100), k + 1)))
+                recorder.on_trigger(eid, "vehicle", t, TRIGGER)
                 eid += 1
                 pending.pop(0)
             last_t = t
@@ -180,20 +174,44 @@ class TestEventRecorder:
         assert event.clip_end == pytest.approx(29.9)
 
 
+@given(
+    fps=st.floats(5.0, 60.0),
+    t0=st.floats(0.0, 1e4),
+    pre=st.floats(0.0, 20.0, exclude_min=True),
+    post=st.floats(0.0, 20.0, exclude_min=True),
+    n_frames=st.integers(1, 400),
+    trigger_frames=st.lists(st.integers(0, 399), max_size=6),
+)
+def test_event_record_contract(fps, t0, pre, post, n_frames, trigger_frames):
+    # frames and triggers in the order the processing loop passes them
+    times = [t0 + k / fps for k in range(n_frames)]
+    recorder = EventRecorder(pre_seconds=pre, post_seconds=post)
+    for k, t in enumerate(times):
+        recorder.on_frame(k, t)
+        for _ in range(trigger_frames.count(k)):
+            recorder.on_trigger(1, "vehicle", t, TRIGGER)
+    recorder.finish(times[-1])
+    assert len(recorder.events) == sum(k < n_frames for k in trigger_frames)
+    for event in recorder.events:
+        in_clip = [k for k, t in enumerate(times) if event.clip_start <= t <= event.clip_end]
+        assert event.frame_ids == in_clip
+        assert event.truncated == (times[-1] < event.trigger_time + post)
+
+
 class TestContextBuffer:
     def test_prunes_by_time(self):
         buf = ContextBuffer(span_seconds=2.0)
         for k in range(100):
-            buf.append(FrameSummary(frame_id=k, t=k / 10.0, tracks=()))
-        times = [s.t for s in buf.frames_since(0.0)]
+            buf.append(k, k / 10.0)
+        times = [k / 10.0 for k in buf.frames_since(0.0)]
         assert times[0] >= 9.9 - 2.0 - 1e-9
         assert times[-1] == pytest.approx(9.9)
 
     def test_frames_since(self):
         buf = ContextBuffer(span_seconds=10.0)
         for k in range(50):
-            buf.append(FrameSummary(frame_id=k, t=k / 10.0, tracks=()))
-        ids = [s.frame_id for s in buf.frames_since(3.0)]
+            buf.append(k, k / 10.0)
+        ids = buf.frames_since(3.0)
         assert ids[0] == 30 and ids[-1] == 49
 
 
