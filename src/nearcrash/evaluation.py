@@ -8,6 +8,7 @@ greedy by smallest time distance, so it does not depend on input order.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,8 +22,8 @@ class ScoredEvent:
     time: float
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"event time must be finite and >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,8 @@ def events_from_json(obj) -> List[ScoredEvent]:
             t = entry["trigger_time"]
         else:
             raise ValueError(f"event {i}: missing 'time' or 'trigger_time'")
-        events.append(
-            ScoredEvent(video_id=str(entry.get("video_id", "default")), time=float(t))
-        )
+        try:
+            events.append(ScoredEvent(str(entry.get("video_id", "default")), float(t)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"event {i}: {exc}") from exc
     return events

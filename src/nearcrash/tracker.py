@@ -7,10 +7,16 @@ threshold are tracked; cross-class matches are never allowed.
 
 Prediction steps use the real inter-frame dt from the capture timestamps
 because frame intervals are not assumed uniform.
+
+SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
+stays block-diagonal: the filter runs as three independent (value, rate)
+filters for u, v and s and a scalar one for r, on plain floats. Association
+scores all track-detection pairs in one numpy broadcast.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,16 +44,26 @@ def iou(a: Box, b: Box) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def box_to_obs(box: Box) -> np.ndarray:
+def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
+    """IoU of every pair of positive-area boxes, each equal to iou() bit for bit."""
+    ax1, ay1, ax2, ay2 = np.array(boxes_a, dtype=float).T[:, :, None]
+    bx1, by1, bx2, by2 = np.array(boxes_b, dtype=float).T[:, None, :]
+    w = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    h = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
+    inter = w * h
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
+def box_to_obs(box: Box) -> Tuple[float, float, float, float]:
     """Box corners -> (center_x, center_y, area, aspect) observation."""
     w = box[2] - box[0]
     h = box[3] - box[1]
-    return np.array([box[0] + w / 2.0, box[1] + h / 2.0, w * h, w / h])
+    return (box[0] + w / 2.0, box[1] + h / 2.0, w * h, w / h)
 
 
 def obs_to_box(u: float, v: float, s: float, r: float) -> Box:
     """(center_x, center_y, area, aspect) -> box corners."""
-    w = np.sqrt(max(s, _AREA_FLOOR) * max(r, _ASPECT_FLOOR))
+    w = math.sqrt(max(s, _AREA_FLOOR) * max(r, _ASPECT_FLOOR))
     h = max(s, _AREA_FLOOR) / w
     return (u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0)
 
@@ -56,45 +72,51 @@ _AREA_FLOOR = 1e-4
 _ASPECT_FLOOR = 1e-4
 _WINDOW_CAPACITY = EngineConfig().window_capacity
 
-# SORT's noise scales (Bewley et al. 2016): initial covariance, measurement
-# noise and process noise, the last scaled by dt
-_P0 = np.diag([10.0] * 4 + [10000.0] * 3)
-_R = np.diag([1.0] * 2 + [10.0] * 2)
-_Q = np.diag([1.0] * 4 + [0.01] * 2 + [0.0001])
-_H = np.eye(4, 7)
+# SORT's diagonal noise (Bewley et al. 2016): initial variance of a value and
+# of a rate, process noise per second of a value and of the u, v, s rates, and
+# measurement noise of u, v, s, r
+_P0_VALUE, _P0_RATE = 10.0, 10000.0
+_Q_VALUE, _Q_RATE = 1.0, (0.01, 0.01, 0.0001)
+_R = (1.0, 1.0, 10.0, 10.0)
 
 
 class KalmanBoxFilter:
-    """Constant-velocity filter on [u, v, s, r, du, dv, ds].
+    """Constant-velocity filter on x = [u, v, s, r, du, dv, ds], run per axis.
 
-    The aspect ratio r carries no velocity and only moves on updates.
+    P[i] is the (value variance, covariance, rate variance) of u, v or s;
+    p_r is the variance of r, which has no rate and moves only on updates.
     """
 
     def __init__(self, box: Box):
-        self.x = np.zeros(7)
-        self.x[:4] = box_to_obs(box)
-        self.P = _P0.copy()
+        self.x = [*box_to_obs(box), 0.0, 0.0, 0.0]
+        self.P = [(_P0_VALUE, 0.0, _P0_RATE)] * 3
+        self.p_r = _P0_VALUE
 
     def predict(self, dt: float) -> Box:
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
-        if dt > 0:
-            F = np.eye(7)
-            F[0, 4] = F[1, 5] = F[2, 6] = dt
-            self.x = F @ self.x
-            self.P = F @ self.P @ F.T + _Q * dt
-        self.x[2] = max(self.x[2], _AREA_FLOOR)
+        x, P = self.x, self.P
+        for i, (pvv, pvr, prr) in enumerate(P):
+            x[i] += dt * x[i + 4]
+            cov = pvr + dt * prr  # F P F^T for F = [[1, dt], [0, 1]], plus Q dt
+            P[i] = (pvv + dt * (pvr + cov) + _Q_VALUE * dt, cov, prr + _Q_RATE[i] * dt)
+        self.p_r += _Q_VALUE * dt
+        x[2] = max(x[2], _AREA_FLOOR)
         return self.box()
 
     def update(self, box: Box) -> None:
-        z = box_to_obs(box)
-        y = z - _H @ self.x
-        S = _H @ self.P @ _H.T + _R
-        K = self.P @ _H.T @ np.linalg.inv(S)
-        self.x = self.x + K @ y
-        self.P = (np.eye(7) - K @ _H) @ self.P
-        self.x[2] = max(self.x[2], _AREA_FLOOR)
-        self.x[3] = max(self.x[3], _ASPECT_FLOOR)
+        x, P, z = self.x, self.P, box_to_obs(box)
+        for i, (pvv, pvr, prr) in enumerate(P):
+            k_value, k_rate = pvv / (pvv + _R[i]), pvr / (pvv + _R[i])
+            y = z[i] - x[i]
+            x[i] += k_value * y
+            x[i + 4] += k_rate * y
+            P[i] = ((1.0 - k_value) * pvv, (1.0 - k_value) * pvr, prr - k_rate * pvr)
+        k_r = self.p_r / (self.p_r + _R[3])
+        x[3] += k_r * (z[3] - x[3])
+        self.p_r *= 1.0 - k_r
+        x[2] = max(x[2], _AREA_FLOOR)
+        x[3] = max(x[3], _ASPECT_FLOOR)
 
     def box(self) -> Box:
         return obs_to_box(self.x[0], self.x[1], self.x[2], self.x[3])
@@ -143,8 +165,6 @@ class Track:
 
 def solve_assignment(score: np.ndarray) -> List[Tuple[int, int]]:
     """Globally optimal assignment maximizing the total score."""
-    if score.size == 0:
-        return []
     rows, cols = linear_sum_assignment(score, maximize=True)
     return list(zip(rows.tolist(), cols.tolist()))
 
@@ -163,20 +183,16 @@ def associate(
     """
     if not (0.0 < iou_min < 1.0):
         raise ValueError(f"iou_min must be in (0, 1), got {iou_min}")
-    score = np.zeros((len(predicted), len(detections)))
-    for i, pbox in enumerate(predicted):
-        for j, det in enumerate(detections):
-            if predicted_kinds is not None and predicted_kinds[i] != det.kind:
-                continue
-            score[i, j] = iou(pbox, det.box)
-    matches = []
-    matched_t, matched_d = set(), set()
-    for i, j in solve_assignment(score):
-        if score[i, j] < iou_min:
-            continue
-        matches.append((i, j))
-        matched_t.add(i)
-        matched_d.add(j)
+    if not predicted or not detections:
+        return [], list(range(len(predicted))), list(range(len(detections)))
+    score = iou_matrix(predicted, [det.box for det in detections])
+    if predicted_kinds is not None:
+        codes = {}  # kind -> int, so the mask compares numbers
+        track_kind = np.array([codes.setdefault(k, len(codes)) for k in predicted_kinds])
+        det_kind = np.array([codes.setdefault(d.kind, len(codes)) for d in detections])
+        score[track_kind[:, None] != det_kind[None, :]] = 0.0
+    matches = [(i, j) for i, j in solve_assignment(score) if score[i, j] >= iou_min]
+    matched_t, matched_d = {i for i, _ in matches}, {j for _, j in matches}
     unmatched_t = [i for i in range(len(predicted)) if i not in matched_t]
     unmatched_d = [j for j in range(len(detections)) if j not in matched_d]
     return matches, unmatched_t, unmatched_d

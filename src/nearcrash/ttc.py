@@ -6,13 +6,15 @@ focal length cancels out of that ratio. The horizontal-center slope gives
 the drift rate of the target across the frame.
 
 Timestamps are carried per sample and used as-is, so non-uniform frame
-intervals do not distort the slopes.
+intervals do not distort the slopes. One least-squares helper fits height
+and width in one pass that shares t_mean and the centred sum of squares.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # config imports this module through rules
@@ -60,7 +62,7 @@ class SampleWindow:
     def newest(self, n: int) -> List[Sample]:
         if n > len(self._buf):
             raise ValueError(f"asked for {n} samples, have {len(self._buf)}")
-        return list(self._buf)[-n:]
+        return list(islice(self._buf, len(self._buf) - n, None))
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -80,32 +82,38 @@ class RegressionResult:
     t_latest: float
 
 
+def _ols(ts: Sequence[float], *columns: Sequence[float]) -> Tuple[float, List[Tuple[float, float]]]:
+    """Least squares of each column on ts, sharing t_mean and sxx.
+
+    Returns t_mean and (slope, mean) per column; raises DegenerateFitError
+    for fewer than two samples or zero time variance.
+    """
+    n = len(ts)
+    if n < 2:
+        raise DegenerateFitError(f"need >= 2 samples, got {n}")
+    t_mean = sum(ts) / n
+    dts = [t - t_mean for t in ts]
+    sxx = sum([d ** 2 for d in dts])
+    if sxx == 0.0:
+        raise DegenerateFitError("all samples share one timestamp")
+    means = [sum(vs) / n for vs in columns]
+    return t_mean, [
+        (sum([d * (v - m) for d, v in zip(dts, vs)]) / sxx, m) for vs, m in zip(columns, means)
+    ]
+
+
 def fit_slope(points: Sequence[Tuple[float, float]]) -> RegressionResult:
     """Ordinary least squares over (t, value) points.
 
     Raises DegenerateFitError for fewer than two points or zero time
     variance.
     """
-    n = len(points)
-    if n < 2:
-        raise DegenerateFitError(f"need >= 2 samples, got {n}")
-    t_mean = sum(t for t, _ in points) / n
-    v_mean = sum(v for _, v in points) / n
-    sxx = sum((t - t_mean) ** 2 for t, _ in points)
-    if sxx == 0.0:
-        raise DegenerateFitError("all samples share one timestamp")
-    sxy = sum((t - t_mean) * (v - v_mean) for t, v in points)
-    slope = sxy / sxx
+    ts = [t for t, _ in points]
+    t_mean, [(slope, v_mean)] = _ols(ts, [v for _, v in points])
     intercept = v_mean - slope * t_mean
-    t_latest = points[-1][0]
     return RegressionResult(
-        slope=slope,
-        intercept=intercept,
-        n=n,
-        fitted_latest=intercept + slope * t_latest,
-        t_mean=t_mean,
-        value_mean=v_mean,
-        t_latest=t_latest,
+        slope=slope, intercept=intercept, n=len(ts), fitted_latest=intercept + slope * ts[-1],
+        t_mean=t_mean, value_mean=v_mean, t_latest=ts[-1],
     )
 
 
@@ -126,14 +134,6 @@ class TtcEstimate:
 SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
 
 
-def _ttc_from_fit(fit: RegressionResult, slope_epsilon: float) -> Optional[float]:
-    # The fitted size and rate are most reliable at the window centroid;
-    # the predicted closing time is then re-referenced to the newest sample.
-    if abs(fit.slope) < slope_epsilon:
-        return None
-    return fit.value_mean / fit.slope - (fit.t_latest - fit.t_mean)
-
-
 def ttc_from_window(
     window: SampleWindow, size_window_len: int, slope_epsilon: float = SLOPE_EPSILON
 ) -> Optional[TtcEstimate]:
@@ -141,14 +141,14 @@ def ttc_from_window(
     if len(window) < size_window_len:
         return None
     samples = window.newest(size_window_len)
-    fit_h = fit_slope([(s.t, s.h) for s in samples])
-    fit_w = fit_slope([(s.t, s.w) for s in samples])
-    return TtcEstimate(
-        ttc_h=_ttc_from_fit(fit_h, slope_epsilon),
-        ttc_w=_ttc_from_fit(fit_w, slope_epsilon),
-        slope_h=fit_h.slope,
-        slope_w=fit_w.slope,
-    )
+    t_mean, fits = _ols([s.t for s in samples], [s.h for s in samples], [s.w for s in samples])
+    # The fitted size and rate are most reliable at the window centroid;
+    # the predicted closing time is then re-referenced to the newest sample.
+    lead = samples[-1].t - t_mean
+    ttc_h, ttc_w = [
+        None if abs(slope) < slope_epsilon else mean / slope - lead for slope, mean in fits
+    ]
+    return TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w, slope_h=fits[0][0], slope_w=fits[1][0])
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,8 @@ def horizontal_motion(
     """Drift rate of the box center, None while warming up."""
     if len(window) < center_window_len:
         return None
+    c_los = camera.principal_x if c_los is None else c_los
+    half_width = camera.frame_width / 2.0  # normalized_center inlined, same operations
     samples = window.newest(center_window_len)
-    fit = fit_slope([(s.t, normalized_center(s.cx, camera, c_los)) for s in samples])
-    return MotionEstimate(omega=fit.slope, n=fit.n)
+    _, [(omega, _)] = _ols([s.t for s in samples], [(s.cx - c_los) / half_width for s in samples])
+    return MotionEstimate(omega=omega, n=center_window_len)

@@ -197,6 +197,18 @@ class TestRunAndEval:
         cells = [c.strip() for c in row.split("|")]
         assert cells[:6] == ["100", "35", "34", "7", "1", "0.895"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_eval_rejects_non_finite_event_time(self, workdir, capsys, literal):
+        (workdir / "p.json").write_text(f'[{{"trigger_time": {literal}}}]')
+        (workdir / "g.json").write_text('[{"time": 1.0}]')
+        code = run_cli(
+            "eval",
+            "--predictions", str(workdir / "p.json"),
+            "--ground-truth", str(workdir / "g.json"),
+        )
+        assert code == 2
+        assert "event 0:" in capsys.readouterr().err
+
 
 class TestGpsCommand:
     def test_conversion_and_geojson(self, workdir, capsys):

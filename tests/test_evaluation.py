@@ -176,3 +176,11 @@ class TestEventsFromJson:
     def test_rejects_missing_time(self):
         with pytest.raises(ValueError):
             events_from_json([{"video_id": "a"}])
+
+    @pytest.mark.parametrize("key", ["time", "trigger_time"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, None, "x"])
+    def test_rejects_bad_time_with_index(self, key, bad):
+        # json.loads accepts the NaN and Infinity literals
+        obj = json.loads(json.dumps([{key: 1.0}, {key: bad}]))
+        with pytest.raises(ValueError, match="event 1:"):
+            events_from_json(obj)

@@ -4,15 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import Detection, FrameRecord
 from nearcrash.tracker import (
+    KalmanBoxFilter,
     NonMonotonicFrameError,
     Track,
     Tracker,
     associate,
+    box_to_obs,
     iou,
+    iou_matrix,
+    obs_to_box,
     solve_assignment,
 )
 
@@ -65,6 +70,86 @@ class TestPredict:
         assert box[2] > box[0] and box[3] > box[1]
 
 
+class DenseSortFilter:
+    """Reference: SORT's 7x7 matrix Kalman filter with diagonal noise."""
+
+    P0 = np.diag([10.0] * 4 + [10000.0] * 3)
+    R = np.diag([1.0] * 2 + [10.0] * 2)
+    Q = np.diag([1.0] * 4 + [0.01] * 2 + [0.0001])
+    H = np.eye(4, 7)
+
+    def __init__(self, box):
+        self.x = np.zeros(7)
+        self.x[:4] = box_to_obs(box)
+        self.P = self.P0.copy()
+
+    def predict(self, dt):
+        if dt > 0:
+            F = np.eye(7)
+            F[0, 4] = F[1, 5] = F[2, 6] = dt
+            self.x = F @ self.x
+            self.P = F @ self.P @ F.T + self.Q * dt
+        self.x[2] = max(self.x[2], 1e-4)
+        return self.box()
+
+    def update(self, box):
+        y = np.array(box_to_obs(box)) - self.H @ self.x
+        S = self.H @ self.P @ self.H.T + self.R
+        K = self.P @ self.H.T @ np.linalg.inv(S)
+        self.x = self.x + K @ y
+        self.P = (np.eye(7) - K @ self.H) @ self.P
+        self.x[2] = max(self.x[2], 1e-4)
+        self.x[3] = max(self.x[3], 1e-4)
+
+    def box(self):
+        return obs_to_box(*self.x[:4])
+
+
+class TestKalmanEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x1=st.floats(0.0, 2000.0),
+        y1=st.floats(0.0, 1000.0),
+        w=st.floats(2.0, 400.0),
+        h=st.floats(2.0, 400.0),
+        miss_rate=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_per_axis_filter_matches_dense_reference(self, x1, y1, w, h, miss_rate, seed):
+        rng = np.random.default_rng(seed)
+        box = (x1, y1, x1 + w, y1 + h)
+        kf, ref = KalmanBoxFilter(box), DenseSortFilter(box)
+        rows, ref_rows = [], []
+        for _ in range(200):
+            dt = float(rng.uniform(0.0, 0.5))
+            while dt == 0.0:
+                dt = float(rng.uniform(0.0, 0.5))
+            rows.append(kf.predict(dt))
+            ref_rows.append(ref.predict(dt))
+            if rng.uniform() >= miss_rate:
+                # a box that drifts and grows or shrinks by a few percent
+                cx = (box[0] + box[2]) / 2 + rng.normal(0.0, 5.0)
+                cy = (box[1] + box[3]) / 2 + rng.normal(0.0, 2.0)
+                bw = (box[2] - box[0]) * rng.uniform(0.95, 1.06)
+                bh = (box[3] - box[1]) * rng.uniform(0.95, 1.06)
+                box = (cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2)
+                kf.update(box)
+                ref.update(box)
+            # state, box, each axis's (value var, covariance, rate var), var(r)
+            P = ref.P
+            rows.append([*kf.x, *kf.box(), *(v for axis in kf.P for v in axis), kf.p_r])
+            ref_rows.append(
+                [*ref.x, *ref.box()]
+                + [v for i in range(3) for v in (P[i, i], P[i, i + 4], P[i + 4, i + 4])]
+                + [P[3, 3]]
+            )
+        for got, want in zip(rows, ref_rows):
+            # relative to the row's scale, so near-zero rates are not held to 1e-12 of 0
+            want = np.array(want, dtype=float)
+            tol = 1e-12 * max(np.abs(want).max(), 1.0)
+            assert np.abs(np.array(got, dtype=float) - want).max() <= tol, (got, want)
+
+
 def total_score(score: np.ndarray, pairs) -> float:
     # fixed row-major summation order so float totals compare exactly
     return sum(score[i, j] for i, j in sorted(pairs))
@@ -85,6 +170,19 @@ def brute_force_best(score: np.ndarray) -> float:
             for perm in itertools.permutations(range(rows), cols)
         )
     return max(total_score(score, c) for c in candidates)
+
+
+KINDS = st.sampled_from(["vehicle", "pedestrian"])
+
+
+@st.composite
+def box_corners(draw):
+    # corners on a coarse grid, so overlaps, touching edges and disjoint pairs
+    # all occur, each maybe nudged so the arithmetic is inexact
+    x1, y1 = draw(st.integers(0, 40)) / 2, draw(st.integers(0, 40)) / 2
+    x2, y2 = x1 + draw(st.integers(1, 20)) / 2, y1 + draw(st.integers(1, 20)) / 2
+    nudge = st.one_of(st.just(0.0), st.floats(-0.2, 0.2))
+    return (x1 + draw(nudge), y1 + draw(nudge), x2 + draw(nudge), y2 + draw(nudge))
 
 
 class TestAssociate:
@@ -130,6 +228,34 @@ class TestAssociate:
             score = rng.uniform(0.0, 1.0, size=(rows, cols))
             pairs = solve_assignment(score)
             assert total_score(score, pairs) == brute_force_best(score)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predicted=st.lists(st.tuples(box_corners(), KINDS), max_size=6),
+        detected=st.lists(st.tuples(box_corners(), KINDS), max_size=6),
+        iou_min=st.floats(0.05, 0.95),
+    )
+    def test_batched_matches_scalar_loop(self, predicted, detected, iou_min):
+        boxes = [b for b, _ in predicted]
+        kinds = [k for _, k in predicted]
+        dets = [det(b, kind=k) for b, k in detected]
+        loop = np.zeros((len(boxes), len(dets)))
+        for i, pbox in enumerate(boxes):
+            for j, d in enumerate(dets):
+                loop[i, j] = iou(pbox, d.box)
+        if boxes and dets:
+            batched = iou_matrix(boxes, [d.box for d in dets])
+            assert batched.tolist() == loop.tolist()  # bit for bit
+        for i, j in itertools.product(range(len(boxes)), range(len(dets))):
+            if kinds[i] != dets[j].kind:
+                loop[i, j] = 0.0
+        pairs = [(i, j) for i, j in solve_assignment(loop) if loop[i, j] >= iou_min]
+        expected = (
+            pairs,
+            [i for i in range(len(boxes)) if i not in {i for i, _ in pairs}],
+            [j for j in range(len(dets)) if j not in {j for _, j in pairs}],
+        )
+        assert associate(boxes, dets, iou_min, predicted_kinds=kinds) == expected
 
     def test_invalid_iou_min(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,25 @@
 """Regression and TTC estimator tests, anchored to the simulator oracle."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
 
-from nearcrash.sim import ActorSpec, project_actor
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nearcrash.pipeline import run
+from nearcrash.sim import ActorSpec, generate_detections, project_actor
 from nearcrash.streams import CameraSpec
 from nearcrash.ttc import (
+    SLOPE_EPSILON,
     DegenerateFitError,
     Sample,
     SampleWindow,
     fit_slope,
     horizontal_motion,
+    normalized_center,
     ttc_from_window,
 )
 
-from conftest import BIG_CAMERA, fill_window
+from conftest import BIG_CAMERA, config_for_scenario, fill_window, load_bundled_scenario
 
 FPS = 24.0
 
@@ -221,3 +226,93 @@ class TestHorizontalMotion:
         shifted = horizontal_motion(window, 18, BIG_CAMERA, c_los=BIG_CAMERA.principal_x - 100)
         # constant offset shifts positions, not the slope
         assert shifted.omega == pytest.approx(0.0, abs=1e-9)
+
+
+@st.composite
+def uneven_window(draw):
+    """A full 18-sample window with non-uniform dt, and a fit length."""
+    t = draw(st.floats(-1e4, 1e4))
+    samples = []
+    for _ in range(18):
+        t += draw(st.floats(1e-3, 0.5))
+        samples.append(
+            Sample(
+                t=t,
+                h=draw(st.floats(1.0, 800.0)),
+                w=draw(st.floats(1.0, 800.0)),
+                cx=draw(st.floats(-500.0, 4500.0)),
+                by=0.0,
+            )
+        )
+    window = SampleWindow(18)
+    for sample in samples:
+        window.append(sample)
+    return window, draw(st.integers(2, 18))
+
+
+def reference_fit(points):
+    # two-pass sums in the order the engine's fits must keep
+    n = len(points)
+    t_mean = sum(t for t, _ in points) / n
+    v_mean = sum(v for _, v in points) / n
+    sxx = sum((t - t_mean) ** 2 for t, _ in points)
+    return sum((t - t_mean) * (v - v_mean) for t, v in points) / sxx, t_mean, v_mean
+
+
+class TestFusedFitsEqualFitSlope:
+    """The engine's one-pass-per-window fits equal fit_slope bit for bit."""
+
+    @settings(max_examples=100)
+    @given(uneven_window())
+    def test_ttc_from_window(self, case):
+        window, n = case
+        samples = window.newest(n)
+        fit_h = fit_slope([(s.t, s.h) for s in samples])
+        fit_w = fit_slope([(s.t, s.w) for s in samples])
+
+        def ttc(fit):
+            if abs(fit.slope) < SLOPE_EPSILON:
+                return None
+            return fit.value_mean / fit.slope - (fit.t_latest - fit.t_mean)
+
+        for fit, column in ((fit_h, "h"), (fit_w, "w")):
+            points = [(s.t, getattr(s, column)) for s in samples]
+            assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
+        est = ttc_from_window(window, n)
+        assert (est.slope_h, est.slope_w) == (fit_h.slope, fit_w.slope)
+        assert (est.ttc_h, est.ttc_w) == (ttc(fit_h), ttc(fit_w))
+
+    @settings(max_examples=100)
+    @given(uneven_window(), st.one_of(st.none(), st.floats(0.0, 4000.0)))
+    def test_horizontal_motion(self, case, c_los):
+        window, n = case
+        samples = window.newest(n)
+        fit = fit_slope([(s.t, normalized_center(s.cx, BIG_CAMERA, c_los)) for s in samples])
+        motion = horizontal_motion(window, n, BIG_CAMERA, c_los)
+        assert (motion.omega, motion.n) == (fit.slope, n)
+
+
+@pytest.mark.parametrize("name", ["head_on", "cut_in", "jaywalking_pedestrian"])
+def test_epoch_time_shift_keeps_the_trigger_frame(name):
+    # at t ~ 1.7e9 s a one-pass sum(t^2) - n * t_mean^2 form loses every digit
+    # of a 0.5 s window; the centred sums keep the slopes
+    scenario = load_bundled_scenario(name)
+    cfg = config_for_scenario(scenario)
+    shift = 1.7e9
+
+    def trigger_frames(frames):
+        frame_at = {f.t: f.frame_id for f in frames}
+        return [frame_at[e.trigger_time] for e in run(frames, cfg).events]
+
+    frames = generate_detections(scenario)
+    shifted = [
+        dataclasses.replace(
+            f,
+            t=f.t + shift,
+            detections=[dataclasses.replace(d, t=d.t + shift) for d in f.detections],
+        )
+        for f in frames
+    ]
+    expected = trigger_frames(frames)
+    assert len(expected) == 1
+    assert trigger_frames(shifted) == expected
