@@ -8,7 +8,7 @@ from .rules import NearCrashDecision, RuleConfig, RuleEngine, check_motion_rule,
 from .sim import ActorSpec, ScenarioSpec, generate_detections, label_ground_truth_events, project_actor, true_ttc
 from .streams import CameraSpec, Detection, FrameRecord, read_detection_stream, write_detection_stream
 from .tracker import Tracker, associate, iou
-from .ttc import MotionEstimate, SampleWindow, TtcEstimate, fit_slope, horizontal_motion, ttc_from_window
+from .ttc import TtcEstimate, fit_slope, horizontal_motion, ttc_from_window
 
 __version__ = "0.1.0"
 
@@ -23,13 +23,11 @@ __all__ = [
     "GpsAffine",
     "GpsFix",
     "LatestFrameQueue",
-    "MotionEstimate",
     "NearCrashDecision",
     "NearCrashEvent",
     "RuleConfig",
     "RuleEngine",
     "RunResult",
-    "SampleWindow",
     "ScenarioSpec",
     "ScoredEvent",
     "Tracker",

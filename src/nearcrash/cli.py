@@ -5,7 +5,8 @@ run (detection stream -> events/trajectory/throughput), eval (score
 predictions against ground truth), gps (convert and export trajectories),
 report (render a saved evaluation report).
 
-Exit codes: 0 success, 2 input error, 3 runtime error.
+Exit codes: 0 success, 2 input error, 3 runtime error. A torn last stream
+line is warned about and counted as `torn_lines` in throughput.json.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import config as config_mod
 from . import evaluation, gps as gps_mod, pipeline, sim, streams
@@ -64,6 +65,28 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(obj, fp, indent=2, sort_keys=sort_keys)
+        fp.write("\n")
+
+
+def _write_trajectory(
+    fixes: Sequence[gps_mod.GpsFix], period: float, out_dir: Path
+) -> gps_mod.TrajectoryLog:
+    """Sample fixes every `period` seconds into trajectory.csv and .geojson."""
+    log = gps_mod.sample_trajectory(fixes, period)
+    with open(out_dir / "trajectory.csv", "w", encoding="utf-8", newline="") as fp:
+        gps_mod.write_trajectory_csv(log, fp)
+    _write_json(out_dir / "trajectory.geojson", gps_mod.trajectory_geojson(log), sort_keys=False)
+    return log
+
+
+def _read_fps(path: str) -> float:
+    with open(path, "r", encoding="utf-8") as fp:
+        return float(json.load(fp)["achieved_fps"])
+
+
 def _load_scenario(spec_arg: str) -> sim.ScenarioSpec:
     if spec_arg.startswith("builtin:"):
         name = spec_arg[len("builtin:"):]
@@ -99,9 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
         for lab in labels
     ]
-    with open(args.out_labels, "w", encoding="utf-8") as fp:
-        json.dump(label_objs, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    _write_json(Path(args.out_labels), label_objs)
     print(f"wrote {len(frames)} frames, {len(labels)} ground-truth events")
     return 0
 
@@ -130,10 +151,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"gps warning: {warning}", file=sys.stderr)
 
     malformed: List[streams.StreamFormatError] = []
+    torn: List[streams.TornLineError] = []
 
     def frames():
         try:
             yield from streams.read_detection_stream(stream_fp)
+        except streams.TornLineError as exc:
+            torn.append(exc)  # the stream ends before the torn line
         except streams.StreamFormatError as exc:
             malformed.append(exc)
             raise
@@ -151,19 +175,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if malformed and cfg.pipeline.mode == "offline":
         print(f"error: {malformed[0]}", file=sys.stderr)
         return 2
+    for exc in torn:
+        print(f"warning: torn last line ignored: {exc}", file=sys.stderr)
 
-    with open(out_dir / "events.json", "w", encoding="utf-8") as fp:
-        json.dump([e.to_dict() for e in result.events], fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    with open(out_dir / "throughput.json", "w", encoding="utf-8") as fp:
-        json.dump(result.report.to_dict(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    if result.trajectory is not None:
-        with open(out_dir / "trajectory.csv", "w", encoding="utf-8", newline="") as fp:
-            gps_mod.write_trajectory_csv(result.trajectory, fp)
-        with open(out_dir / "trajectory.geojson", "w", encoding="utf-8") as fp:
-            json.dump(gps_mod.trajectory_geojson(result.trajectory), fp, indent=2)
-            fp.write("\n")
+    _write_json(out_dir / "events.json", [e.to_dict() for e in result.events])
+    _write_json(out_dir / "throughput.json", {**result.report.to_dict(), "torn_lines": len(torn)})
+    if fixes is not None:
+        _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
     if result.annotations is not None:
         with open(out_dir / "annotations.jsonl", "w", encoding="utf-8") as fp:
             for summary in result.annotations:
@@ -190,10 +208,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         predictions = _load_events_file(args.predictions)
         ground_truth = _load_events_file(args.ground_truth)
-        fps = None
-        if args.throughput is not None:
-            with open(args.throughput, "r", encoding="utf-8") as fp:
-                fps = float(json.load(fp)["achieved_fps"])
+        fps = None if args.throughput is None else _read_fps(args.throughput)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -231,17 +246,9 @@ def cmd_gps(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    period = args.period if args.period is not None else cfg.gps.sample_period
-    log = gps_mod.sample_trajectory(fixes, period)
-    with open(out_dir / "trajectory.csv", "w", encoding="utf-8", newline="") as fp:
-        gps_mod.write_trajectory_csv(log, fp)
-    with open(out_dir / "trajectory.geojson", "w", encoding="utf-8") as fp:
-        json.dump(gps_mod.trajectory_geojson(log), fp, indent=2)
-        fp.write("\n")
+    log = _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
     if events is not None:
-        with open(out_dir / "events.geojson", "w", encoding="utf-8") as fp:
-            json.dump(gps_mod.events_geojson(events), fp, indent=2)
-            fp.write("\n")
+        _write_json(out_dir / "events.geojson", gps_mod.events_geojson(events), sort_keys=False)
     print(
         f"kept {len(log.fixes)} of {len(fixes)} fixes "
         f"({len(warnings)} rows skipped or reordered) -> {out_dir}"
@@ -254,10 +261,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(args.report, "r", encoding="utf-8") as fp:
             report = evaluation.EvalReport.from_dict(json.load(fp))
         if args.throughput is not None:
-            with open(args.throughput, "r", encoding="utf-8") as fp:
-                fps = float(json.load(fp)["achieved_fps"])
             report = evaluation.make_report(
-                report.tp, report.fp, report.fn, report.n_videos, report.n_events, fps
+                report.tp, report.fp, report.fn, report.n_videos, report.n_events,
+                _read_fps(args.throughput),
             )
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gps.add_argument("fixes", help="CSV with header t,lat_raw,lon_raw")
     p_gps.add_argument("--out-dir", required=True)
     p_gps.add_argument("--events", default=None, help="event log JSON for a map overlay")
-    p_gps.add_argument("--period", type=float, default=None)
     p_gps.add_argument("--config", default=None)
     _add_override_flags(p_gps)
     p_gps.set_defaults(func=cmd_gps)

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .config import EngineConfig, PipelineParams
-from .gps import GpsFix, TrajectoryLog, sample_trajectory
+from .gps import GpsFix
 from .rules import NearCrashDecision, RuleEngine, event_type_for
 from .streams import FrameRecord
 from .tracker import NonMonotonicFrameError, Tracker
@@ -306,7 +306,6 @@ class ThroughputReport:
 @dataclass
 class RunResult:
     events: List[NearCrashEvent]
-    trajectory: Optional[TrajectoryLog]
     report: ThroughputReport
     annotations: Optional[List[FrameSummary]]
     error: Optional[str] = None
@@ -319,13 +318,7 @@ class _Processor:
         self, config: EngineConfig, recorder: EventRecorder, collect_annotations: bool
     ):
         self.config = config
-        self.tracker = Tracker(
-            confidence_min=config.tracker.confidence_min,
-            iou_min=config.tracker.iou_min,
-            max_age=config.tracker.max_age,
-            min_hits=config.tracker.min_hits,
-            window_capacity=config.window_capacity,
-        )
+        self.tracker = Tracker(config.tracker, config.window_capacity)
         self.engine = RuleEngine(config.rules, config.camera)
         self.recorder = recorder
         self.annotations: Optional[List[FrameSummary]] = (
@@ -348,10 +341,10 @@ class _Processor:
             est = ttc_from_window(
                 trk.window, cfg.regression.size_window_len, cfg.regression.slope_epsilon
             )
-            motion = horizontal_motion(
+            omega = horizontal_motion(
                 trk.window, cfg.regression.center_window_len, cfg.camera, cfg.rules.c_los
             )
-            decision = self.engine.decide(trk, est, motion, frame.t)
+            decision = self.engine.decide(trk, est, omega, frame.t)
             if annotations is not None:
                 annotations.append(
                     TrackAnnotation(
@@ -360,7 +353,7 @@ class _Processor:
                         box=trk.box(),
                         ttc_h=est.ttc_h if est else None,
                         ttc_w=est.ttc_w if est else None,
-                        omega=motion.omega if motion else None,
+                        omega=omega,
                         size_rule_pass=decision.size_rule_pass,
                         motion_rule_pass=decision.motion_rule_pass,
                         motion_product=decision.motion_product,
@@ -469,10 +462,6 @@ def run(
     )
     return RunResult(
         events=recorder.events,
-        trajectory=(
-            None if gps_fixes is None
-            else sample_trajectory(recorder.fixes, period=config.gps.sample_period)
-        ),
         report=report,
         annotations=proc.annotations,
         error=frames.error,

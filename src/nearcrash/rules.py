@@ -6,7 +6,8 @@ requiring both catches the case where a truncated box makes the height
 grow while the width shrinks. The motion rule bounds the product of the
 horizontal drift rate, the normalized center offset, and the normalized
 bottom-edge distance from the frame bottom, which separates collision
-courses and center-bound drifts from safe passes.
+courses and center-bound drifts from safe passes. The drift rate omega
+is a float; the center and bottom edge are the track's newest sample's.
 
 A per-track cooldown suppresses re-triggering on the same encounter; the
 time of a track's last trigger is kept on the track itself.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .ttc import MotionEstimate, TtcEstimate, normalized_center
+from .ttc import TtcEstimate, normalized_center
 
 if TYPE_CHECKING:  # config imports this module for RuleConfig
     from .config import FrameGeometry
@@ -57,7 +58,7 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 
 
 def check_motion_rule(
-    motion: Optional[MotionEstimate],
+    omega: Optional[float],
     latest_cx: float,
     latest_by: float,
     camera: FrameGeometry,
@@ -69,11 +70,11 @@ def check_motion_rule(
     y_norm in [0, 1], so a fixed band admits larger drift rates for
     targets near the bottom of the frame.
     """
-    if motion is None:
+    if omega is None:
         return False, 0.0
     x_norm = _clamp(normalized_center(latest_cx, camera, cfg.c_los), -1.0, 1.0)
     y_norm = _clamp((camera.frame_height - latest_by) / camera.frame_height, 0.0, 1.0)
-    product = motion.omega * x_norm * y_norm
+    product = omega * x_norm * y_norm
     return cfg.alpha < product < cfg.beta, product
 
 
@@ -101,14 +102,12 @@ class RuleEngine:
         self,
         track,
         ttc: Optional[TtcEstimate],
-        motion: Optional[MotionEstimate],
+        omega: Optional[float],
         now: float,
     ) -> NearCrashDecision:
         size_ok = check_size_rule(ttc, self.cfg)
-        latest = track.window.latest()
-        motion_ok, product = check_motion_rule(
-            motion, latest.cx, latest.by, self.camera, self.cfg
-        )
+        latest = track.window[-1]
+        motion_ok, product = check_motion_rule(omega, latest.cx, latest.by, self.camera, self.cfg)
         last = track.last_trigger
         triggered = size_ok and motion_ok and (last is None or now - last >= self.cfg.cooldown)
         if triggered:

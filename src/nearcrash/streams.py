@@ -8,6 +8,9 @@ A detection stream is one JSON object per line, one line per frame:
 
 The same format is produced by the scenario simulator and consumed by the
 pipeline, so external detectors only need to emit these lines.
+
+A last line that lacks its newline and does not parse was torn by a cut
+write: it raises `TornLineError`, so a caller can keep the frames before.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ ROAD_USER_KINDS = ("vehicle", "pedestrian")
 
 class StreamFormatError(ValueError):
     """Raised when a detection stream line cannot be parsed."""
+
+
+class TornLineError(StreamFormatError):
+    """The last line has no trailing newline and cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,14 @@ def write_detection_stream(frames: Iterable[FrameRecord], fp: IO[str]) -> int:
 def read_detection_stream(fp: IO[str]) -> Iterator[FrameRecord]:
     """Parse a JSON Lines detection stream, skipping blank lines."""
     for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
+        text = line.strip()
+        if not text:
             continue
-        yield frame_from_json(line, lineno)
+        try:
+            frame = frame_from_json(text, lineno)
+        except StreamFormatError as exc:
+            # only the last line of a stream can lack its newline
+            if line.endswith("\n"):
+                raise
+            raise TornLineError(str(exc)) from exc
+        yield frame

@@ -8,6 +8,10 @@ threshold are tracked; cross-class matches are never allowed.
 Prediction steps use the real inter-frame dt from the capture timestamps
 because frame intervals are not assumed uniform.
 
+A track's window is a bounded deque of its raw detection samples. A
+`Detection` has a positive-size box, and `step` rejects a frame not after
+the previous one and matches a track at most once, so times increase.
+
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
 filters for u, v and s and a scalar one for r, on plain floats. Association
@@ -17,14 +21,15 @@ scores all track-detection pairs in one numpy broadcast.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import EngineConfig, TrackerParams
 from .streams import ROAD_USER_KINDS, Box, Detection, FrameRecord
-from .ttc import Sample, SampleWindow
+from .ttc import Sample
 
 
 class NonMonotonicFrameError(ValueError):
@@ -126,23 +131,18 @@ class Track:
     """One persistent identity with filter state and a sample window."""
 
     def __init__(
-        self,
-        track_id: int,
-        detection: Detection,
-        window_capacity: int = _WINDOW_CAPACITY,
+        self, track_id: int, detection: Detection, window_capacity: int = _WINDOW_CAPACITY
     ):
         self.id = track_id
         self.kind = detection.kind
         self.kf = KalmanBoxFilter(detection.box)
         self.hits = 1
-        self.age = 0
         self.time_since_update = 0
         self.last_trigger: Optional[float] = None  # set by RuleEngine.decide
-        self.window = SampleWindow(window_capacity)
+        self.window: Deque[Sample] = deque(maxlen=window_capacity)
         self._append_sample(detection)
 
     def predict(self, dt: float) -> Box:
-        self.age += 1
         self.time_since_update += 1
         return self.kf.predict(dt)
 
@@ -202,17 +202,9 @@ class Tracker:
     """Stateful per-frame tracker; call step() with frames in time order."""
 
     def __init__(
-        self,
-        confidence_min: float = TrackerParams.confidence_min,
-        iou_min: float = TrackerParams.iou_min,
-        max_age: int = TrackerParams.max_age,
-        min_hits: int = TrackerParams.min_hits,
-        window_capacity: int = _WINDOW_CAPACITY,
+        self, params: TrackerParams = TrackerParams(), window_capacity: int = _WINDOW_CAPACITY
     ):
-        self.confidence_min = confidence_min
-        self.iou_min = iou_min
-        self.max_age = max_age
-        self.min_hits = min_hits
+        self.params = params
         self.window_capacity = window_capacity
         self.tracks: List[Track] = []
         self._next_id = 1
@@ -232,13 +224,13 @@ class Tracker:
         detections = [
             d
             for d in frame.detections
-            if d.kind in ROAD_USER_KINDS and d.confidence >= self.confidence_min
+            if d.kind in ROAD_USER_KINDS and d.confidence >= self.params.confidence_min
         ]
 
         predicted = [trk.predict(dt) for trk in self.tracks]
         kinds = [trk.kind for trk in self.tracks]
         matches, _, unmatched_d = associate(
-            predicted, detections, self.iou_min, predicted_kinds=kinds
+            predicted, detections, self.params.iou_min, predicted_kinds=kinds
         )
         for ti, dj in matches:
             self.tracks[ti].update(detections[dj])
@@ -249,7 +241,7 @@ class Tracker:
             self._next_id += 1
 
         self.tracks = [
-            trk for trk in self.tracks if trk.time_since_update <= self.max_age
+            trk for trk in self.tracks if trk.time_since_update <= self.params.max_age
         ]
         return [trk for trk in self.tracks if self._confirmed(trk)]
 
@@ -257,4 +249,4 @@ class Tracker:
         # sequence-level warm-up, so short streams still produce output
         if trk.time_since_update != 0:
             return False
-        return trk.hits >= self.min_hits or self._frames_seen <= self.min_hits
+        return trk.hits >= self.params.min_hits or self._frames_seen <= self.params.min_hits

@@ -5,17 +5,18 @@ intrinsics: TTC is the ratio of box size to size-change rate, and the
 focal length cancels out of that ratio. The horizontal-center slope gives
 the drift rate of the target across the frame.
 
-Timestamps are carried per sample and used as-is, so non-uniform frame
-intervals do not distort the slopes. One least-squares helper fits height
-and width in one pass that shares t_mean and the centred sum of squares.
+A window is a `deque` of `Sample` tuples, newest last, with positive sizes
+and strictly increasing times (the tracker guarantees both). Times are used
+as-is, so non-uniform frame intervals do not distort the slopes. Each fit
+transposes its newest samples once; height and width share one pass, with
+one t_mean and one centred sum of squares.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # config imports this module through rules
     from .config import FrameGeometry
@@ -25,8 +26,7 @@ class DegenerateFitError(ValueError):
     """Raised when a regression has fewer than two samples or no time spread."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """Box measurements for one matched frame of one track."""
 
     t: float
@@ -34,41 +34,6 @@ class Sample:
     w: float
     cx: float
     by: float
-
-    def __post_init__(self):
-        if self.h <= 0 or self.w <= 0:
-            raise ValueError("sample dimensions must be > 0")
-
-
-class SampleWindow:
-    """Ring buffer of samples with strictly increasing timestamps."""
-
-    def __init__(self, capacity: int):
-        if capacity < 2:
-            raise ValueError("window capacity must be >= 2")
-        self.capacity = capacity
-        self._buf: deque = deque(maxlen=capacity)
-
-    def append(self, sample: Sample) -> None:
-        if self._buf and sample.t <= self._buf[-1].t:
-            raise ValueError(
-                f"sample timestamps must increase: {sample.t} after {self._buf[-1].t}"
-            )
-        self._buf.append(sample)
-
-    def latest(self) -> Sample:
-        return self._buf[-1]
-
-    def newest(self, n: int) -> List[Sample]:
-        if n > len(self._buf):
-            raise ValueError(f"asked for {n} samples, have {len(self._buf)}")
-        return list(islice(self._buf, len(self._buf) - n, None))
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self):
-        return iter(self._buf)
 
 
 @dataclass(frozen=True)
@@ -135,28 +100,20 @@ SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
 
 
 def ttc_from_window(
-    window: SampleWindow, size_window_len: int, slope_epsilon: float = SLOPE_EPSILON
+    window: Deque[Sample], size_window_len: int, slope_epsilon: float = SLOPE_EPSILON
 ) -> Optional[TtcEstimate]:
     """TTC from the newest size_window_len samples, None while warming up."""
     if len(window) < size_window_len:
         return None
-    samples = window.newest(size_window_len)
-    t_mean, fits = _ols([s.t for s in samples], [s.h for s in samples], [s.w for s in samples])
+    ts, hs, ws, _, _ = zip(*islice(window, len(window) - size_window_len, None))
+    t_mean, fits = _ols(ts, hs, ws)
     # The fitted size and rate are most reliable at the window centroid;
     # the predicted closing time is then re-referenced to the newest sample.
-    lead = samples[-1].t - t_mean
+    lead = ts[-1] - t_mean
     ttc_h, ttc_w = [
         None if abs(slope) < slope_epsilon else mean / slope - lead for slope, mean in fits
     ]
     return TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w, slope_h=fits[0][0], slope_w=fits[1][0])
-
-
-@dataclass(frozen=True)
-class MotionEstimate:
-    """Slope of the normalized horizontal center position, per second."""
-
-    omega: float
-    n: int
 
 
 def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] = None) -> float:
@@ -166,16 +123,16 @@ def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] =
 
 
 def horizontal_motion(
-    window: SampleWindow,
+    window: Deque[Sample],
     center_window_len: int,
     camera: FrameGeometry,
     c_los: Optional[float] = None,
-) -> Optional[MotionEstimate]:
-    """Drift rate of the box center, None while warming up."""
+) -> Optional[float]:
+    """Drift rate omega of the normalized box center, per second; None while warming up."""
     if len(window) < center_window_len:
         return None
     c_los = camera.principal_x if c_los is None else c_los
     half_width = camera.frame_width / 2.0  # normalized_center inlined, same operations
-    samples = window.newest(center_window_len)
-    _, [(omega, _)] = _ols([s.t for s in samples], [(s.cx - c_los) / half_width for s in samples])
-    return MotionEstimate(omega=omega, n=center_window_len)
+    ts, _, _, cxs, _ = zip(*islice(window, len(window) - center_window_len, None))
+    _, [(omega, _)] = _ols(ts, [(cx - c_los) / half_width for cx in cxs])
+    return omega

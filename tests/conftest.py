@@ -1,5 +1,6 @@
 """Shared helpers: scenario builders and a one-call engine driver."""
 
+from collections import deque
 from importlib import resources
 
 import pytest
@@ -8,7 +9,7 @@ from nearcrash.config import build_config
 from nearcrash.pipeline import run
 from nearcrash.sim import ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import CameraSpec
-from nearcrash.ttc import Sample, SampleWindow
+from nearcrash.ttc import Sample
 
 # a frame large enough that test geometries never clip against it
 BIG_CAMERA = CameraSpec(focal_px=1000.0, frame_width=4000.0, frame_height=3000.0, fps=24.0)
@@ -40,9 +41,9 @@ def run_scenario(scenario: ScenarioSpec, **overrides):
     return run(frames, cfg, collect_annotations=True)
 
 
-def fill_window(actor, camera, times, capacity=None) -> SampleWindow:
+def fill_window(actor, camera, times, capacity=None) -> deque:
     """Project an actor at the given times into a fresh sample window."""
-    window = SampleWindow(capacity or max(len(times), 2))
+    window = deque(maxlen=capacity or max(len(times), 2))
     for t in times:
         det = project_actor(actor, t, camera)
         assert det is not None, f"actor left the frame at t={t}"

@@ -10,6 +10,7 @@ import math
 import random
 import statistics
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from nearcrash.sim import (
 )
 from nearcrash.streams import CameraSpec, Detection, FrameRecord
 from nearcrash.tracker import Track, Tracker, iou, solve_assignment
-from nearcrash.ttc import MotionEstimate, Sample, SampleWindow, TtcEstimate, ttc_from_window
+from nearcrash.ttc import Sample, TtcEstimate, ttc_from_window
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -69,7 +70,7 @@ def test_criterion_1_f1_arithmetic():
 
 def _window_ttc_for_focal(actor, focal, first_frame=1, n=12):
     camera = CameraSpec(focal_px=focal, frame_width=4000, frame_height=3000, fps=24)
-    window = SampleWindow(n)
+    window = deque(maxlen=n)
     for k in range(first_frame, first_frame + n):
         t = k / 24.0
         det = project_actor(actor, t, camera)
@@ -116,7 +117,7 @@ def test_criterion_3_ttc_oracle_accuracy():
                     init_longitudinal=speed * (ttc_target + t_latest),
                     vel_longitudinal=speed, collision_half_width=1.2,
                 )
-                window = SampleWindow(12)
+                window = deque(maxlen=12)
                 for k in range(1, 13):
                     t = k / 24.0
                     det = project_actor(actor, t, camera)
@@ -139,7 +140,7 @@ def test_criterion_3_ttc_oracle_accuracy():
                     bbox_noise_sigma=0.02, seed=seed,
                 )
                 frames = generate_detections(scenario)
-                window = SampleWindow(12)
+                window = deque(maxlen=12)
                 for frame in frames[1:13]:
                     det = frame.detections[0]
                     window.append(
@@ -375,11 +376,11 @@ def test_criterion_8_event_record_contract():
         )
         track = Track(1, det)
         est = TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=5.0, slope_w=5.0)
-        motion = MotionEstimate(omega=0.0, n=18)
+        omega = 0.0
         trigger_times = [
             k / 24.0
             for k in range(int(60 * 24))
-            if engine.decide(track, est, motion, now=k / 24.0).triggered
+            if engine.decide(track, est, omega, now=k / 24.0).triggered
         ]
         assert len(trigger_times) == 6
         separations = [b - a for a, b in zip(trigger_times, trigger_times[1:])]

@@ -138,6 +138,7 @@ class TestRunAndEval:
         assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 0
         events = json.loads((out_dir / "events.json").read_text())
         assert events[0]["gps"] is None
+        assert not (out_dir / "trajectory.csv").exists()
 
     def test_bad_config_is_input_error(self, workdir):
         detections, _ = simulate(workdir, "head_on")
@@ -179,6 +180,23 @@ class TestRunAndEval:
         assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 2
         assert "line 51" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["offline", "live"])
+    def test_torn_last_line_keeps_earlier_frames(self, workdir, capsys, mode):
+        # a recording cut mid-write: line 72 lost its tail and its newline
+        detections, _ = simulate(workdir, "head_on")
+        detections.write_bytes(detections.read_bytes()[:-40])
+        out_dir = workdir / mode
+        code = run_cli("run", str(detections), "--out-dir", str(out_dir), "--mode", mode)
+        assert code == 0
+        assert "warning: torn last line ignored: line 72" in capsys.readouterr().err
+        report = json.loads((out_dir / "throughput.json").read_text())
+        assert report["torn_lines"] == 1
+        assert report["frames_produced"] == 71
+        assert report["frames_processed"] + report["frames_dropped"] == 71
+        events = json.loads((out_dir / "events.json").read_text())
+        if mode == "offline":  # live may drop frames around the trigger
+            assert len(events) == 1
 
     def test_eval_matches_field_result_numbers(self, workdir, capsys):
         preds = [{"video_id": f"v{i}", "time": 10.0} for i in range(34 + 7)]

@@ -13,7 +13,7 @@ from nearcrash.rules import (
 from nearcrash.sim import ActorSpec, ScenarioSpec
 from nearcrash.streams import CameraSpec, Detection
 from nearcrash.tracker import Track
-from nearcrash.ttc import MotionEstimate, TtcEstimate
+from nearcrash.ttc import TtcEstimate
 
 from conftest import run_scenario
 
@@ -59,7 +59,7 @@ class TestMotionRule:
     def test_dead_ahead_product_zero(self):
         cfg = RuleConfig()
         ok, product = check_motion_rule(
-            MotionEstimate(omega=0.5, n=18), latest_cx=CAM.principal_x, latest_by=700,
+            0.5, latest_cx=CAM.principal_x, latest_by=700,
             camera=CAM, cfg=cfg,
         )
         assert product == 0.0
@@ -69,7 +69,7 @@ class TestMotionRule:
         # omega * x * y = 2.0 * 0.5 * 0.5 = 0.5 > beta
         cfg = RuleConfig(beta=0.05)
         ok, product = check_motion_rule(
-            MotionEstimate(omega=2.0, n=18),
+            2.0,
             latest_cx=CAM.principal_x + 320,  # x_norm = 0.5
             latest_by=360.0,                  # y_norm = 0.5
             camera=CAM, cfg=cfg,
@@ -81,7 +81,7 @@ class TestMotionRule:
         # omega < 0 right of center: p = -1.2 * 0.5 * 0.5 = -0.3 in (-0.75, 0.05)
         cfg = RuleConfig(alpha=-0.75, beta=0.05)
         ok, product = check_motion_rule(
-            MotionEstimate(omega=-1.2, n=18),
+            -1.2,
             latest_cx=CAM.principal_x + 320,
             latest_by=360.0,
             camera=CAM, cfg=cfg,
@@ -92,7 +92,7 @@ class TestMotionRule:
     def test_normalizations_clamped(self):
         cfg = RuleConfig()
         _, product = check_motion_rule(
-            MotionEstimate(omega=1.0, n=18),
+            1.0,
             latest_cx=CAM.frame_width * 3,   # would be x_norm = 5 unclamped
             latest_by=-100.0,                # would be y_norm > 1 unclamped
             camera=CAM, cfg=cfg,
@@ -115,7 +115,7 @@ def make_track(track_id=1, kind="vehicle", cx=640.0, by=400.0):
 
 class TestDecide:
     def passing_inputs(self):
-        return ttc(2.0, 4.0), MotionEstimate(omega=0.0, n=18)
+        return ttc(2.0, 4.0), 0.0
 
     def test_trigger_when_both_pass(self):
         engine = RuleEngine(RuleConfig(), CAM)
@@ -143,7 +143,7 @@ class TestDecide:
     def test_motion_failure_blocks(self):
         engine = RuleEngine(RuleConfig(beta=0.05), CAM)
         est = ttc(2.0, 4.0)
-        motion = MotionEstimate(omega=2.0, n=18)
+        motion = 2.0
         decision = engine.decide(make_track(cx=960.0), est, motion, now=0.0)
         assert decision.size_rule_pass
         assert not decision.motion_rule_pass
@@ -172,9 +172,7 @@ class TestDecide:
         # receding or distant targets can never trigger
         engine = RuleEngine(RuleConfig(delta=3.0, phi=6.75), CAM)
         est = TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w, slope_h=1.0, slope_w=1.0)
-        decision = engine.decide(
-            make_track(), est, MotionEstimate(omega=omega, n=18), now=0.0
-        )
+        decision = engine.decide(make_track(), est, omega, now=0.0)
         assert not decision.triggered
 
     def test_event_type_mapping(self):

@@ -1,11 +1,13 @@
-"""Detection stream parsing: non-finite values are rejected with their line."""
+"""Detection stream parsing: bad values are rejected with their line, a torn tail is told apart."""
 
 import io
 import json
 
 import pytest
 
-from nearcrash.streams import StreamFormatError, frame_from_json, read_detection_stream
+from nearcrash.streams import (
+    StreamFormatError, TornLineError, frame_from_json, read_detection_stream,
+)
 
 GOOD_DET = {"class": "vehicle", "confidence": 1.0, "x1": 10.0, "y1": 20.0, "x2": 30.0, "y2": 40.0}
 
@@ -24,3 +26,32 @@ def test_non_finite_rejected_with_line_number(bad):
     stream = io.StringIO(line(t=0.0) + "\n" + bad + "\n")
     with pytest.raises(StreamFormatError, match="line 2: non-finite"):
         list(read_detection_stream(stream))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [line(x2=GOOD_DET["x1"]), line(y1=50.0)],
+    ids=["zero_width", "inverted"],
+)
+def test_degenerate_box_rejected_with_line_number(bad):
+    stream = io.StringIO(line(t=0.0) + "\n" + bad + "\n")
+    with pytest.raises(StreamFormatError, match="line 2: degenerate box"):
+        list(read_detection_stream(stream))
+
+
+def test_torn_last_line_is_told_apart():
+    frames = read_detection_stream(io.StringIO(line(t=0.0) + "\n" + line(t=0.1)[:-10]))
+    assert next(frames).t == 0.0
+    with pytest.raises(TornLineError, match="line 2"):
+        next(frames)
+
+
+def test_malformed_terminated_last_line_is_not_torn():
+    with pytest.raises(StreamFormatError) as info:
+        list(read_detection_stream(io.StringIO(line(t=0.0)[:-10] + "\n")))
+    assert not isinstance(info.value, TornLineError)
+
+
+def test_complete_unterminated_last_line_parses():
+    stream = io.StringIO(line(t=0.0) + "\n" + line(t=0.1))
+    assert [f.t for f in read_detection_stream(stream)] == [0.0, 0.1]

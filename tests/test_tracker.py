@@ -1,13 +1,15 @@
 """Tracker tests: IoU, prediction, optimal association, track lifecycle."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearcrash.config import TrackerParams
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, project_actor
-from nearcrash.streams import Detection, FrameRecord
+from nearcrash.streams import ROAD_USER_KINDS, Detection, FrameRecord
 from nearcrash.tracker import (
     KalmanBoxFilter,
     NonMonotonicFrameError,
@@ -20,6 +22,7 @@ from nearcrash.tracker import (
     obs_to_box,
     solve_assignment,
 )
+from nearcrash.ttc import Sample
 
 from conftest import BIG_CAMERA
 
@@ -295,7 +298,7 @@ class TestStep:
         ids = {i for ids in confirmed_by_frame.values() for i in ids}
         assert len(ids) == 1
         # confirmed on every frame from min_hits onward (0-indexed frames)
-        for k in range(tracker.min_hits - 1, 30):
+        for k in range(tracker.params.min_hits - 1, 30):
             assert confirmed_by_frame[k] == [next(iter(ids))]
 
     def test_two_actors_no_identity_switch(self):
@@ -329,7 +332,7 @@ class TestStep:
         assert len(out) == 1
 
     def test_low_confidence_and_foreign_classes_dropped(self):
-        tracker = Tracker(confidence_min=0.4, min_hits=1)
+        tracker = Tracker(TrackerParams(confidence_min=0.4, min_hits=1))
         frame = FrameRecord(
             frame_id=0,
             t=0.0,
@@ -343,12 +346,12 @@ class TestStep:
         assert out[0].box() == pytest.approx((20, 20, 30, 30), abs=1e-6)
 
     def test_track_dies_after_max_age(self):
-        tracker = Tracker(max_age=3, min_hits=1)
+        tracker = Tracker(TrackerParams(max_age=3, min_hits=1))
         tracker.step(FrameRecord(frame_id=0, t=0.0, detections=[det((0, 0, 10, 10))]))
         for k in range(1, 6):
             tracker.step(FrameRecord(frame_id=k, t=k / 24, detections=[]))
             for trk in tracker.tracks:
-                assert trk.time_since_update <= tracker.max_age
+                assert trk.time_since_update <= tracker.params.max_age
         assert tracker.tracks == []
 
     def test_confirmed_have_enough_hits_after_warmup(self):
@@ -358,8 +361,8 @@ class TestStep:
         tracker = Tracker()
         for frame in generate_detections(scenario):
             for trk in tracker.step(frame):
-                if frame.frame_id >= tracker.min_hits:
-                    assert trk.hits >= tracker.min_hits
+                if frame.frame_id >= tracker.params.min_hits:
+                    assert trk.hits >= tracker.params.min_hits
                 assert trk.time_since_update == 0
 
     def test_deterministic(self):
@@ -382,7 +385,7 @@ class TestStep:
         assert run_once() == run_once()
 
     def test_window_grows_only_on_matched_updates(self):
-        tracker = Tracker(max_age=5, min_hits=1)
+        tracker = Tracker(TrackerParams(max_age=5, min_hits=1))
         tracker.step(FrameRecord(frame_id=0, t=0.0, detections=[det((0, 0, 10, 10))]))
         trk = tracker.tracks[0]
         assert len(trk.window) == 1
@@ -392,6 +395,58 @@ class TestStep:
             FrameRecord(frame_id=2, t=2 / 24, detections=[det((0, 0, 10, 10), t=2 / 24)])
         )
         assert len(trk.window) == 2
+
+
+@st.composite
+def frame_stream(draw):
+    """A few actors seen or missed per frame with jittered boxes, at uneven dt."""
+    actors = draw(st.lists(
+        st.tuples(
+            st.floats(0, 100), st.floats(0, 100), st.floats(1, 40), st.floats(1, 40),
+            st.sampled_from(("vehicle", "pedestrian", "sign")),
+        ),
+        min_size=1, max_size=4,
+    ))
+    shift, scale = st.floats(-3.0, 3.0), st.floats(0.9, 1.1)
+    t = draw(st.floats(-100.0, 100.0))
+    frames = []
+    for k in range(draw(st.integers(1, 40))):
+        t += draw(st.floats(1e-3, 0.5))
+        detections = []
+        for x, y, w, h, kind in actors:
+            if draw(st.integers(0, 3)):  # seen in three frames of four
+                x, y = x + draw(shift), y + draw(shift)
+                box = (x, y, x + w * draw(scale), y + h * draw(scale))
+                confidence = draw(st.sampled_from((0.2, 0.9, 1.0)))
+                detections.append(det(box, kind, t, k, confidence))
+        frames.append(FrameRecord(k, t, detections))
+    return frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_stream(), st.integers(0, 3), st.integers(1, 3), st.integers(2, 6))
+def test_step_keeps_window_invariants(frames, max_age, min_hits, capacity):
+    tracker = Tracker(TrackerParams(max_age=max_age, min_hits=min_hits), capacity)
+    for frame in frames:
+        before = {trk.id: trk.window[-1] for trk in tracker.tracks}
+        tracker.step(frame)
+        offered = Counter(
+            Sample(d.t, d.height, d.width, d.center_x, d.bottom_y)
+            for d in frame.detections
+            if d.kind in ROAD_USER_KINDS and d.confidence >= tracker.params.confidence_min
+        )
+        matched = Counter()
+        for trk in tracker.tracks:
+            window = list(trk.window)
+            assert 1 <= len(window) <= capacity
+            assert all(a.t < b.t for a, b in zip(window, window[1:]))
+            assert all(s.h > 0 and s.w > 0 for s in window)
+            if trk.time_since_update == 0:
+                matched[window[-1]] += 1
+            else:
+                assert window[-1] == before[trk.id]
+        # each matched or newborn track's newest sample is its own detection of this frame
+        assert not matched - offered
 
 
 def _actor_to_track_map(scenario):

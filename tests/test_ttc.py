@@ -1,6 +1,7 @@
 """Regression and TTC estimator tests, anchored to the simulator oracle."""
 
 import dataclasses
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from nearcrash.ttc import (
     SLOPE_EPSILON,
     DegenerateFitError,
     Sample,
-    SampleWindow,
     fit_slope,
     horizontal_motion,
     normalized_center,
@@ -92,31 +92,6 @@ class TestFitSlope:
         assert fit.slope == pytest.approx(2.0, rel=1e-9)
 
 
-class TestSampleWindow:
-    def test_eviction_drops_oldest(self):
-        window = SampleWindow(capacity=3)
-        for k in range(5):
-            window.append(Sample(t=float(k), h=1.0, w=1.0, cx=0.0, by=0.0))
-        assert len(window) == 3
-        assert [s.t for s in window] == [2.0, 3.0, 4.0]
-
-    def test_timestamps_must_increase(self):
-        window = SampleWindow(capacity=3)
-        window.append(Sample(t=1.0, h=1.0, w=1.0, cx=0.0, by=0.0))
-        with pytest.raises(ValueError):
-            window.append(Sample(t=1.0, h=2.0, w=2.0, cx=0.0, by=0.0))
-
-    def test_newest_returns_tail(self):
-        window = SampleWindow(capacity=5)
-        for k in range(5):
-            window.append(Sample(t=float(k), h=1.0, w=1.0, cx=0.0, by=0.0))
-        assert [s.t for s in window.newest(2)] == [3.0, 4.0]
-
-    def test_positive_dimensions_required(self):
-        with pytest.raises(ValueError):
-            Sample(t=0.0, h=0.0, w=1.0, cx=0.0, by=0.0)
-
-
 class TestTtcFromWindow:
     def test_head_on_estimate_tracks_oracle(self):
         # window of 12 frames whose latest is t = 0.5; true TTC there is 2.5 s
@@ -162,7 +137,7 @@ class TestTtcFromWindow:
     def test_uses_newest_samples_only(self):
         # an actor that recedes then approaches: the fresh half decides the sign
         cam = BIG_CAMERA
-        window = SampleWindow(capacity=24)
+        window = deque(maxlen=24)
         recede = approach(init_longitudinal=20.0, vel_longitudinal=-5.0)
         for t in frame_times(0, 12):
             det = project_actor(recede, t, cam)
@@ -192,9 +167,8 @@ class TestHorizontalMotion:
     def test_dead_ahead_zero(self):
         actor = approach(init_lateral=0.0)
         window = fill_window(actor, BIG_CAMERA, frame_times(0, 18))
-        motion = horizontal_motion(window, 18, BIG_CAMERA)
-        assert motion.omega == pytest.approx(0.0, abs=1e-12)
-        assert motion.n == 18
+        omega = horizontal_motion(window, 18, BIG_CAMERA)
+        assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_lateral_drift_rate(self):
         # f * v_lat / (D * half_width) = 1000 * 20 / (100 * 1000) = 0.2 per second
@@ -203,16 +177,16 @@ class TestHorizontalMotion:
             init_longitudinal=100.0, vel_longitudinal=0.0, init_lateral=0.0, vel_lateral=20.0
         )
         window = fill_window(actor, cam, frame_times(0, 18))
-        motion = horizontal_motion(window, 18, cam)
-        assert motion.omega == pytest.approx(0.2, rel=1e-9)
+        omega = horizontal_motion(window, 18, cam)
+        assert omega == pytest.approx(0.2, rel=1e-9)
 
     def test_mirror_negates_omega(self):
         right = approach(init_lateral=2.0, vel_lateral=1.0)
         left = approach(init_lateral=-2.0, vel_lateral=-1.0)
         w_right = fill_window(right, BIG_CAMERA, frame_times(0, 18))
         w_left = fill_window(left, BIG_CAMERA, frame_times(0, 18))
-        om_right = horizontal_motion(w_right, 18, BIG_CAMERA).omega
-        om_left = horizontal_motion(w_left, 18, BIG_CAMERA).omega
+        om_right = horizontal_motion(w_right, 18, BIG_CAMERA)
+        om_left = horizontal_motion(w_left, 18, BIG_CAMERA)
         assert om_left == pytest.approx(-om_right, rel=1e-9)
 
     def test_not_ready(self):
@@ -225,7 +199,7 @@ class TestHorizontalMotion:
         window = fill_window(actor, BIG_CAMERA, frame_times(0, 18))
         shifted = horizontal_motion(window, 18, BIG_CAMERA, c_los=BIG_CAMERA.principal_x - 100)
         # constant offset shifts positions, not the slope
-        assert shifted.omega == pytest.approx(0.0, abs=1e-9)
+        assert shifted == pytest.approx(0.0, abs=1e-9)
 
 
 @st.composite
@@ -244,10 +218,7 @@ def uneven_window(draw):
                 by=0.0,
             )
         )
-    window = SampleWindow(18)
-    for sample in samples:
-        window.append(sample)
-    return window, draw(st.integers(2, 18))
+    return deque(samples, maxlen=18), draw(st.integers(2, 18))
 
 
 def reference_fit(points):
@@ -266,7 +237,7 @@ class TestFusedFitsEqualFitSlope:
     @given(uneven_window())
     def test_ttc_from_window(self, case):
         window, n = case
-        samples = window.newest(n)
+        samples = list(window)[-n:]
         fit_h = fit_slope([(s.t, s.h) for s in samples])
         fit_w = fit_slope([(s.t, s.w) for s in samples])
 
@@ -286,10 +257,9 @@ class TestFusedFitsEqualFitSlope:
     @given(uneven_window(), st.one_of(st.none(), st.floats(0.0, 4000.0)))
     def test_horizontal_motion(self, case, c_los):
         window, n = case
-        samples = window.newest(n)
+        samples = list(window)[-n:]
         fit = fit_slope([(s.t, normalized_center(s.cx, BIG_CAMERA, c_los)) for s in samples])
-        motion = horizontal_motion(window, n, BIG_CAMERA, c_los)
-        assert (motion.omega, motion.n) == (fit.slope, n)
+        assert horizontal_motion(window, n, BIG_CAMERA, c_los) == fit.slope
 
 
 @pytest.mark.parametrize("name", ["head_on", "cut_in", "jaywalking_pedestrian"])
