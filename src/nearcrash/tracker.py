@@ -14,18 +14,30 @@ the previous one and matches a track at most once, so times increase.
 
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
-filters for u, v and s and a scalar one for r, on plain floats. Association
-scores all track-detection pairs in one numpy broadcast.
+filters for u, v and s and a scalar one for r, on plain floats.
+
+Association maximizes the total same-class IoU and takes one of three exact
+paths, chosen by the shape and values of the score matrix:
+- one side holds a single box: the optimum is the first best same-class
+  pair, scored with the scalar `iou` (equal to `iou_matrix` bit for bit);
+- otherwise all pairs are scored in one numpy broadcast, and when each row
+  with a positive maximum holds it once, in a column no other such row
+  takes, pairing rows with their best columns reaches the upper bound
+  sum_i max_j score[i, j] and is the unique optimum (tried on the matrix,
+  then on its transpose);
+- any other matrix goes to `solve_assignment`, a pure-Python port of
+  Crouse's shortest augmenting path, the algorithm of SciPy's
+  `linear_sum_assignment`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import EngineConfig, TrackerParams
 from .streams import ROAD_USER_KINDS, Box, Detection, FrameRecord
@@ -51,12 +63,17 @@ def iou(a: Box, b: Box) -> float:
 
 def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
     """IoU of every pair of positive-area boxes, each equal to iou() bit for bit."""
-    ax1, ay1, ax2, ay2 = np.array(boxes_a, dtype=float).T[:, :, None]
-    bx1, by1, bx2, by2 = np.array(boxes_b, dtype=float).T[:, None, :]
+    ax1, ay1, ax2, ay2 = _corners(boxes_a).T[:, :, None]
+    bx1, by1, bx2, by2 = _corners(boxes_b).T[:, None, :]
     w = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
     h = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = w * h
     return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    # the same float values as np.array(boxes), at about half its cost
+    return np.fromiter(chain.from_iterable(boxes), float, 4 * len(boxes)).reshape(-1, 4)
 
 
 def box_to_obs(box: Box) -> Tuple[float, float, float, float]:
@@ -164,9 +181,87 @@ class Track:
 
 
 def solve_assignment(score: np.ndarray) -> List[Tuple[int, int]]:
-    """Globally optimal assignment maximizing the total score."""
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    return list(zip(rows.tolist(), cols.tolist()))
+    """Globally optimal assignment maximizing the total score, pairs by row.
+
+    Crouse's rectangular shortest augmenting path (IEEE TAES 2016), the
+    algorithm of SciPy's linear_sum_assignment, with the same tie-breaking:
+    it minimizes the negated scores, one row at a time, and solves a matrix
+    with more rows than columns transposed.
+    """
+    score = np.asarray(score, dtype=float)
+    if score.ndim != 2 or not np.isfinite(score).all():
+        raise ValueError("score must be a finite 2-d matrix")
+    transpose = score.shape[0] > score.shape[1]
+    cost = (-score.T if transpose else -score).tolist()
+    if not cost:
+        return []
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        # Dijkstra over the reduced costs, from row cur to an unassigned column
+        dist = [math.inf] * n_cols
+        seen_rows, seen_cols = [], []
+        remaining = list(range(n_cols - 1, -1, -1))  # reversed, as SciPy's
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for k, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                # on a tie, prefer a column that ends the path
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, index = dist[j], k
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - dist[j]
+        j = sink
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted((c, r) for r, c in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
+def _dominant_matches(score: np.ndarray, iou_min: float) -> Optional[List[Tuple[int, int]]]:
+    """Each row's best column, kept if >= iou_min, when that is the optimum.
+
+    When every row with a positive maximum holds it once and those best
+    columns are distinct, pairing each row with its best column reaches the
+    bound sum_i max_j score[i, j], so it is the unique optimum up to zero
+    pairs. Returns None when the rule does not apply. Scores must be >= 0.
+    """
+    n_rows, n_cols = score.shape
+    best = score.argmax(axis=1)
+    top = score[np.arange(n_rows), best]
+    n_positive = np.count_nonzero(top)
+    # a row whose maximum is 0 is all zeros and equals it n_cols times
+    ties = np.count_nonzero(score == top[:, None])
+    if ties != n_positive + (n_rows - n_positive) * n_cols:
+        return None
+    best_top = list(zip(best.tolist(), top.tolist()))
+    taken = [j for j, s in best_top if s > 0.0]
+    if len(set(taken)) < len(taken):
+        return None
+    return [(i, j) for i, (j, s) in enumerate(best_top) if s >= iou_min]
 
 
 def associate(
@@ -179,23 +274,54 @@ def associate(
 
     Pairs whose IoU falls below iou_min are demoted to unmatched, and
     cross-class pairs are never matched. Returns (matches,
-    unmatched_track_indices, unmatched_detection_indices).
+    unmatched_track_indices, unmatched_detection_indices), matches by
+    track index.
     """
     if not (0.0 < iou_min < 1.0):
         raise ValueError(f"iou_min must be in (0, 1), got {iou_min}")
-    if not predicted or not detections:
-        return [], list(range(len(predicted))), list(range(len(detections)))
+    n_t, n_d = len(predicted), len(detections)
+    if n_t == 1 or n_d == 1:
+        matches = _best_pair(predicted, detections, iou_min, predicted_kinds)
+    elif n_t and n_d:
+        matches = _optimal_matches(predicted, detections, iou_min, predicted_kinds)
+    else:
+        matches = []
+    matched_t, matched_d = {i for i, _ in matches}, {j for _, j in matches}
+    unmatched_t = [i for i in range(n_t) if i not in matched_t]
+    unmatched_d = [j for j in range(n_d) if j not in matched_d]
+    return matches, unmatched_t, unmatched_d
+
+
+def _best_pair(predicted, detections, iou_min, predicted_kinds):
+    # one side has a single box: the optimum is the first best same-class pair
+    best, pair = 0.0, None
+    for i, box in enumerate(predicted):
+        kind = None if predicted_kinds is None else predicted_kinds[i]
+        for j, det in enumerate(detections):
+            if kind is None or kind == det.kind:
+                overlap = iou(box, det.box)
+                if overlap > best:
+                    best, pair = overlap, (i, j)
+    return [pair] if best >= iou_min else []
+
+
+def _optimal_matches(predicted, detections, iou_min, predicted_kinds):
     score = iou_matrix(predicted, [det.box for det in detections])
     if predicted_kinds is not None:
-        codes = {}  # kind -> int, so the mask compares numbers
-        track_kind = np.array([codes.setdefault(k, len(codes)) for k in predicted_kinds])
-        det_kind = np.array([codes.setdefault(d.kind, len(codes)) for d in detections])
-        score[track_kind[:, None] != det_kind[None, :]] = 0.0
-    matches = [(i, j) for i, j in solve_assignment(score) if score[i, j] >= iou_min]
-    matched_t, matched_d = {i for i, _ in matches}, {j for _, j in matches}
-    unmatched_t = [i for i in range(len(predicted)) if i not in matched_t]
-    unmatched_d = [j for j in range(len(detections)) if j not in matched_d]
-    return matches, unmatched_t, unmatched_d
+        det_kinds = [det.kind for det in detections]
+        # kind -> int, so the mask compares numbers; one kind needs no mask
+        codes = {k: n for n, k in enumerate(set(predicted_kinds).union(det_kinds))}
+        if len(codes) > 1:
+            track_kind = np.array([codes[k] for k in predicted_kinds])
+            det_kind = np.array([codes[k] for k in det_kinds])
+            score[track_kind[:, None] != det_kind[None, :]] = 0.0
+    matches = _dominant_matches(score, iou_min)
+    if matches is not None:
+        return matches
+    by_detection = _dominant_matches(score.T, iou_min)
+    if by_detection is not None:
+        return sorted((i, j) for j, i in by_detection)
+    return [(i, j) for i, j in solve_assignment(score) if score[i, j] >= iou_min]
 
 
 class Tracker:

@@ -1,0 +1,44 @@
+"""Import footprint: the engine imports and runs without loading SciPy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nearcrash
+
+# a five-vehicle stream, as in acceptance criterion 5, so frames reach the
+# association path with at least two tracks and two detections
+CHILD = """
+import sys
+from nearcrash import ActorSpec, CameraSpec, ScenarioSpec, build_config, generate_detections, run
+from nearcrash.tracker import solve_assignment
+
+camera = CameraSpec(focal_px=1000, frame_width=4000, frame_height=3000, fps=24)
+actors = tuple(
+    ActorSpec(
+        kind="vehicle", real_height=1.5, real_width=1.8, init_longitudinal=40.0,
+        init_lateral=-12.0 + 6.0 * i, vel_longitudinal=5.0, collision_half_width=1.2,
+    )
+    for i in range(5)
+)
+frames = generate_detections(ScenarioSpec(camera=camera, actors=actors, duration=3.0))
+assert sum(len(frame.detections) >= 2 for frame in frames) >= 60
+run(frames, build_config({"camera": {"frame_width": 4000, "frame_height": 3000, "fps": 24}}))
+assert solve_assignment([[0.5, 0.5], [0.5, 0.0]]) == [(0, 1), (1, 0)]
+print(" ".join(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_engine_run_loads_no_scipy():
+    src = str(Path(nearcrash.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearcrash import tracker
 from nearcrash.config import TrackerParams
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import ROAD_USER_KINDS, Detection, FrameRecord
@@ -263,6 +264,82 @@ class TestAssociate:
     def test_invalid_iou_min(self):
         with pytest.raises(ValueError):
             associate([], [], iou_min=0.0)
+
+    @pytest.mark.parametrize("family", ["uniform", "sparse", "tied"])
+    def test_solver_matches_scipy_pair_for_pair(self, family):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(["uniform", "sparse", "tied"].index(family))
+        for rows, cols in itertools.product(range(1, 9), repeat=2):
+            for _ in range(4):
+                if family == "tied":
+                    score = rng.choice([0.0, 0.5, 1.0], size=(rows, cols))
+                else:
+                    score = rng.uniform(0.0, 1.0, size=(rows, cols))
+                    if family == "sparse":
+                        score[rng.uniform(size=(rows, cols)) < 0.6] = 0.0
+                r, c = optimize.linear_sum_assignment(score, maximize=True)
+                assert solve_assignment(score) == list(zip(r.tolist(), c.tolist())), score
+
+    @pytest.mark.parametrize(
+        "boxes, detected",
+        [
+            # one track, two identical detections
+            ([(0, 0, 10, 10)], [(1, 0, 11, 10), (1, 0, 11, 10)]),
+            # two tracks, two identical detections: no strict best on either side
+            ([(0, 0, 10, 10), (3, 0, 13, 10)], [(1, 0, 11, 10), (1, 0, 11, 10)]),
+            # two tracks whose best is one detection, the other a worse second
+            ([(0, 0, 10, 10), (2, 0, 12, 10)], [(1, 0, 11, 10), (6, 0, 16, 10)]),
+            # both tracks best on one detection that each overlaps equally
+            ([(0, 0, 10, 10), (2, 0, 12, 10)], [(1, 0, 11, 10), (-4, 0, 6, 10)]),
+            # a 1x3 row with equal maxima left and right of the track
+            ([(0, 0, 10, 10)], [(-2, 0, 8, 10), (30, 0, 40, 10), (2, 0, 12, 10)]),
+            # a 3x1 column with equal maxima
+            ([(-2, 0, 8, 10), (30, 0, 40, 10), (2, 0, 12, 10)], [(0, 0, 10, 10)]),
+        ],
+    )
+    @pytest.mark.parametrize("iou_min", [0.1, 0.5, 0.75])
+    def test_ties_match_the_solver(self, boxes, detected, iou_min):
+        kinds = ["vehicle"] * len(boxes)
+        dets = [det(b) for b in detected]
+        assert associate(boxes, dets, iou_min, kinds) == solver_reference(
+            boxes, dets, iou_min, kinds
+        )
+
+    def test_one_sided_frame_skips_numpy(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("one-sided frames need no score matrix")
+
+        monkeypatch.setattr(tracker, "iou_matrix", unused)
+        monkeypatch.setattr(tracker, "solve_assignment", unused)
+        boxes = [(0, 0, 10, 10), (1, 0, 11, 10)]
+        dets = [det((1, 0, 11, 10), kind="pedestrian")]
+        assert associate(boxes, dets, 0.3, ["vehicle", "pedestrian"]) == ([(1, 0)], [0], [])
+        assert associate(boxes[:1], dets, 0.3, ["vehicle"]) == ([], [0], [0])
+
+    def test_dominant_rows_or_columns_skip_the_solver(self, monkeypatch):
+        monkeypatch.setattr(tracker, "solve_assignment", None)
+        lanes = [(20.0 * k, 0.0, 20.0 * k + 10.0, 10.0) for k in range(3)]
+        shifted = [det((x1 + 1, y1, x2 + 1, y2)) for x1, y1, x2, y2 in lanes]
+        assert associate(lanes, shifted[::-1], 0.3) == ([(0, 2), (1, 1), (2, 0)], [], [])
+        # tracks 0 and 1 share their best detection, 1; by detection each
+        # best track is distinct, and the matches still come by track index
+        boxes = [(0, 0, 10, 10), (2.5, 0, 12.5, 10), (40, 0, 50, 10)]
+        dets = [det((5, 0, 15, 10)), det((1, 0, 11, 10))]
+        assert associate(boxes, dets, 0.3) == ([(0, 1), (1, 0)], [2], [])
+
+
+def solver_reference(boxes, dets, iou_min, kinds):
+    """`solve_assignment` on the masked scalar-iou scores, then the iou_min filter."""
+    score = np.zeros((len(boxes), len(dets)))
+    for i, j in itertools.product(range(len(boxes)), range(len(dets))):
+        if kinds[i] == dets[j].kind:
+            score[i, j] = iou(boxes[i], dets[j].box)
+    pairs = [(i, j) for i, j in solve_assignment(score) if score[i, j] >= iou_min]
+    return (
+        pairs,
+        [i for i in range(len(boxes)) if i not in {i for i, _ in pairs}],
+        [j for j in range(len(dets)) if j not in {j for _, j in pairs}],
+    )
 
 
 def lateral_fleet(n, spacing=3.0):
