@@ -33,7 +33,11 @@ def _parse_flag_value(text: str):
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("config overrides")
+    group = parser.add_argument_group(
+        "config overrides",
+        "every config field is a flag of its dotted name, e.g. --rules.delta 2.5 "
+        "or --pipeline.mode live (fields: nearcrash.config.DEFAULTS)",
+    )
     for dotted in config_mod.override_flags():
         group.add_argument(
             f"--{dotted}",
@@ -41,14 +45,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
             metavar="VALUE",
             help=argparse.SUPPRESS,
         )
-    group.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="FIELD=VALUE",
-        help="override a config field by dotted path, e.g. --set rules.delta=2.5 "
-        "(any field may also be set directly, e.g. --rules.delta 2.5)",
-    )
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
@@ -57,11 +53,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         if key.startswith("override__") and value is not None:
             dotted = key[len("override__"):].replace("__", ".")
             overrides[dotted] = _parse_flag_value(value)
-    for item in getattr(args, "set", []):
-        if "=" not in item:
-            raise ConfigError(f"--set {item}: expected FIELD=VALUE")
-        dotted, _, value = item.partition("=")
-        overrides[dotted.strip()] = _parse_flag_value(value.strip())
     return overrides
 
 
@@ -98,7 +89,7 @@ def _load_scenario(spec_arg: str) -> sim.ScenarioSpec:
         text = Path(spec_arg).read_text(encoding="utf-8")
     try:
         return sim.ScenarioSpec.from_json(text)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{spec_arg}: invalid scenario ({exc})") from exc
 
 
@@ -129,10 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        overrides = _collect_overrides(args)
-        if args.mode is not None:
-            overrides["pipeline.mode"] = args.mode
-        cfg = config_mod.load_config(args.config, overrides)
+        cfg = config_mod.load_config(args.config, _collect_overrides(args))
         fixes = None
         gps_warnings: List[str] = []
         if args.gps is not None:
@@ -229,8 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gps(args: argparse.Namespace) -> int:
     try:
-        overrides = _collect_overrides(args)
-        cfg = config_mod.load_config(args.config, overrides)
+        cfg = config_mod.load_config(args.config, _collect_overrides(args))
         with open(args.fixes, "r", encoding="utf-8") as fp:
             fixes, warnings = gps_mod.read_fix_csv(fp, cfg.gps.affine)
         events = None
@@ -300,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", default=None, help="engine config JSON")
     p_run.add_argument("--gps", default=None, help="GPS fix CSV (t,lat_raw,lon_raw)")
     p_run.add_argument("--out-dir", required=True)
-    p_run.add_argument("--mode", choices=("offline", "live"), default=None)
     p_run.add_argument("--debug-annotations", action="store_true")
     _add_override_flags(p_run)
     p_run.set_defaults(func=cmd_run)

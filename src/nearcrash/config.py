@@ -7,19 +7,23 @@ and a motion band of (-0.75, 0.05).
 
 Each section is a frozen dataclass and each field is declared once. The
 declaration gives the default; the annotation gives the JSON type (an
-``int`` rejects floats and booleans, a ``float`` also takes ints, an
-``Optional`` also takes null, a ``Literal`` lists the allowed values);
-and ``setting(default, check, message)`` attaches a bound that the value
-must meet. ``DEFAULTS``, the override flags, the override check and the
-validation in ``build_config`` are all read from those fields. Checks
-across fields live in the section's ``__post_init__`` and are reported
-under the section name.
+``int`` rejects floats and booleans, a ``float`` also takes ints, a
+``str`` takes only strings, an ``Optional`` also takes null, a
+``Literal`` lists the allowed values, a ``Tuple[X, ...]`` reads an
+array and a dataclass a nested object); and ``setting(default, check,
+message)`` attaches a bound that the value must meet. ``DEFAULTS``, the
+override flags, the override check and the validation in
+``build_config`` are all read from those fields. Checks across fields
+live in the section's ``__post_init__`` and are reported under the
+section name. `read_record` reads every JSON record of the package this
+way: the config, scenario specs (`sim`) and eval reports (`evaluation`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from typing import (
     Any, Callable, Dict, List, Literal, Optional, get_args, get_origin, get_type_hints,
 )
@@ -30,7 +34,8 @@ from .ttc import SLOPE_EPSILON
 
 
 class ConfigError(ValueError):
-    """Configuration rejected; the message carries the offending field path."""
+    """A JSON record rejected: the engine config, a scenario spec or an eval
+    report. The message carries the offending field path."""
 
 
 def setting(default: Any, check: Callable[[Any], bool], message: str) -> Any:
@@ -117,6 +122,10 @@ class EngineConfig:
 DEFAULTS: Dict[str, Dict[str, Any]] = asdict(EngineConfig())
 
 
+# get_type_hints evaluates string annotations on every call; do it once a class
+_field_types = lru_cache(maxsize=None)(get_type_hints)
+
+
 def _typed(value: Any, kind: Any, path: str) -> Any:
     """Check a JSON value against a field annotation; numbers come back as float."""
     options = get_args(kind)
@@ -126,6 +135,16 @@ def _typed(value: Any, kind: Any, path: str) -> Any:
         return value
     if value is None and type(None) in options:
         return None
+    if get_origin(kind) is tuple:  # Tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array")
+        return tuple(_typed(item, options[0], f"{path}[{i}]") for i, item in enumerate(value))
+    if is_dataclass(kind):
+        return read_record(kind, value, path)
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int:
         if number and isinstance(value, int):
@@ -136,39 +155,44 @@ def _typed(value: Any, kind: Any, path: str) -> Any:
     raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
-def _section(cls: type, raw: Any, path: str) -> Any:
+def read_record(cls: type, raw: Any, path: str = "") -> Any:
+    """Build the dataclass `cls` from a JSON object, checked against its fields.
+
+    A field's key is its name, or ``metadata["key"]``; a missing key takes
+    the field's default, and a field without one is reported missing.
+    Unknown keys, wrong types and broken bounds raise `ConfigError` with
+    the path of the offending value.
+    """
+    where, prefix = (f"{path}: ", f"{path}.") if path else ("", "")
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    declared = {f.name: f for f in fields(cls)}
+        raise ConfigError(f"{where}expected an object")
+    declared = {f.metadata.get("key", f.name): f for f in fields(cls)}
     for key in raw:
         if key not in declared:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    kinds = get_type_hints(cls)
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    kinds = _field_types(cls)
     values = {}
-    for name, f in declared.items():
-        here = f"{path}.{name}"
-        value = _typed(raw.get(name, f.default), kinds[name], here)
+    for key, f in declared.items():
+        here = prefix + key
+        if key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{here}: missing")
+            continue
+        value = _typed(raw[key], kinds[f.name], here)
         if "bound" in f.metadata:
             check, message = f.metadata["bound"]
             if not check(value):
                 raise ConfigError(f"{here}: {message}")
-        values[name] = value
+        values[f.name] = value
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def build_config(user: Optional[dict] = None) -> EngineConfig:
     """Validate a raw config dict against the section fields and defaults."""
-    user = user or {}
-    for key in user:
-        if key not in DEFAULTS:
-            raise ConfigError(f"{key}: unknown field")
-    kinds = get_type_hints(EngineConfig)
-    return EngineConfig(**{
-        name: _section(kinds[name], user.get(name, {}), name) for name in DEFAULTS
-    })
+    return read_record(EngineConfig, user or {})
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> EngineConfig:

@@ -13,6 +13,8 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .config import read_record
+
 DEFAULT_MATCH_WINDOW_S = 10.0
 
 
@@ -106,17 +108,7 @@ class EvalReport:
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalReport":
-        return EvalReport(
-            n_videos=int(obj["n_videos"]),
-            n_events=int(obj["n_events"]),
-            tp=int(obj["tp"]),
-            fp=int(obj["fp"]),
-            fn=int(obj["fn"]),
-            precision=float(obj["precision"]),
-            recall=float(obj["recall"]),
-            f1=float(obj["f1"]),
-            fps=None if obj.get("fps") is None else float(obj["fps"]),
-        )
+        return read_record(EvalReport, obj)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

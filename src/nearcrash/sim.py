@@ -15,11 +15,12 @@ horizon sits at mid-frame).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .config import read_record
 from .streams import ROAD_USER_KINDS, CameraSpec, Detection, FrameRecord
 
 
@@ -31,7 +32,7 @@ class ActorSpec:
     camera shrinks, negative means the actor recedes.
     """
 
-    kind: str
+    kind: str = field(metadata={"key": "class"})
     real_height: float
     real_width: float
     init_longitudinal: float
@@ -72,34 +73,7 @@ class ScenarioSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":
-        cam = obj["camera"]
-        camera = CameraSpec(
-            focal_px=float(cam["focal_px"]),
-            frame_width=float(cam["frame_width"]),
-            frame_height=float(cam["frame_height"]),
-            fps=float(cam["fps"]),
-            principal_x=cam.get("principal_x"),
-        )
-        actors = tuple(
-            ActorSpec(
-                kind=a["class"],
-                real_height=float(a["real_height"]),
-                real_width=float(a["real_width"]),
-                init_longitudinal=float(a["init_longitudinal"]),
-                init_lateral=float(a.get("init_lateral", 0.0)),
-                vel_longitudinal=float(a.get("vel_longitudinal", 0.0)),
-                vel_lateral=float(a.get("vel_lateral", 0.0)),
-                collision_half_width=float(a.get("collision_half_width", 1.0)),
-            )
-            for a in obj["actors"]
-        )
-        return ScenarioSpec(
-            camera=camera,
-            actors=actors,
-            duration=float(obj["duration"]),
-            bbox_noise_sigma=float(obj.get("bbox_noise_sigma", 0.0)),
-            seed=int(obj.get("seed", 0)),
-        )
+        return read_record(ScenarioSpec, obj)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioSpec":

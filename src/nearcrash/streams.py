@@ -125,8 +125,13 @@ def frame_to_json(frame: FrameRecord) -> str:
 def frame_from_json(line: str, lineno: int = 0) -> FrameRecord:
     try:
         obj = json.loads(line)
-        frame_id = int(obj["frame_id"])
-        t = float(obj["t_seconds"])
+        frame_id = obj["frame_id"]
+        t = obj["t_seconds"]
+        if type(frame_id) is not int:
+            raise ValueError(f"frame_id must be an integer, got {frame_id!r}")
+        if type(t) not in (float, int):
+            raise ValueError(f"t_seconds must be a number, got {t!r}")
+        t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"non-finite t_seconds {t}")
         dets = [
@@ -155,16 +160,26 @@ def write_detection_stream(frames: Iterable[FrameRecord], fp: IO[str]) -> int:
 
 
 def read_detection_stream(fp: IO[str]) -> Iterator[FrameRecord]:
-    """Parse a JSON Lines detection stream, skipping blank lines."""
-    for lineno, line in enumerate(fp, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            frame = frame_from_json(text, lineno)
-        except StreamFormatError as exc:
-            # only the last line of a stream can lack its newline
-            if line.endswith("\n"):
-                raise
-            raise TornLineError(str(exc)) from exc
-        yield frame
+    """Parse a JSON Lines detection stream, skipping blank lines.
+
+    Bytes that do not decode raise `StreamFormatError` naming the line
+    before them.
+    """
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fp, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                frame = frame_from_json(text, lineno)
+            except StreamFormatError as exc:
+                # only the last line of a stream can lack its newline
+                if line.endswith("\n"):
+                    raise
+                raise TornLineError(str(exc)) from exc
+            yield frame
+    except UnicodeDecodeError as exc:
+        # decoding is buffered: the failed chunk may hold whole lines not yet read
+        lineno += exc.object[:exc.start].count(b"\n")
+        raise StreamFormatError(f"after line {lineno}: not UTF-8") from exc

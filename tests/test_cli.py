@@ -1,6 +1,7 @@
 """CLI tests: every subcommand exercised in-process through main()."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -54,6 +55,22 @@ class TestSimulate:
         assert code == 2
         assert not (workdir / "d.jsonl").exists()
         assert not (workdir / "l.json").exists()
+
+    def test_misspelt_scenario_key_is_input_error(self, workdir, capsys):
+        spec = workdir / "spec.json"
+        obj = json.loads(
+            resources.files("nearcrash").joinpath("scenarios/cut_in.json").read_text()
+        )
+        obj["actors"][0]["init_laterl"] = obj["actors"][0].pop("init_lateral")
+        spec.write_text(json.dumps(obj))
+        code = run_cli(
+            "simulate", str(spec),
+            "--out-detections", str(workdir / "d.jsonl"),
+            "--out-labels", str(workdir / "l.json"),
+        )
+        assert code == 2
+        assert "actors[0].init_laterl: unknown field" in capsys.readouterr().err
+        assert not (workdir / "d.jsonl").exists()
 
     def test_unknown_builtin(self, workdir):
         code = run_cli(
@@ -110,7 +127,7 @@ class TestRunAndEval:
         code = run_cli(
             "run", str(detections),
             "--out-dir", str(out_dir),
-            "--mode", "live",
+            "--pipeline.mode", "live",
             "--pipeline.process_min_interval", "0.02",
         )
         assert code == 0
@@ -158,17 +175,22 @@ class TestRunAndEval:
     @pytest.mark.parametrize(
         "bad",
         [
-            '"t_seconds": NaN, "detections": []',
-            '"t_seconds": Infinity, "detections": []',
-            '"t_seconds": 0.1, "detections": [{"class": "vehicle", "confidence": 1.0, '
-            '"x1": 1.0, "y1": 1.0, "x2": Infinity, "y2": 9.0}]',
+            '"frame_id": 1, "t_seconds": NaN, "detections": []',
+            '"frame_id": 1, "t_seconds": Infinity, "detections": []',
+            '"frame_id": 1, "t_seconds": 0.1, "detections": [{"class": "vehicle", '
+            '"confidence": 1.0, "x1": 1.0, "y1": 1.0, "x2": Infinity, "y2": 9.0}]',
+            '"frame_id": 5.7, "t_seconds": 0.1, "detections": []',
+            '"frame_id": true, "t_seconds": 0.1, "detections": []',
+            '"frame_id": "7", "t_seconds": 0.1, "detections": []',
+            '"frame_id": 1, "t_seconds": true, "detections": []',
         ],
-        ids=["nan_t", "infinite_t", "infinite_box_edge"],
+        ids=["nan_t", "infinite_t", "infinite_box_edge", "float_frame_id", "bool_frame_id",
+             "string_frame_id", "bool_t"],
     )
     def test_non_finite_stream_value_is_input_error(self, workdir, capsys, bad):
         stream = workdir / "bad.jsonl"
         stream.write_text('{"frame_id": 0, "t_seconds": 0.0, "detections": []}\n'
-                          f'{{"frame_id": 1, {bad}}}\n')
+                          f'{{{bad}}}\n')
         assert run_cli("run", str(stream), "--out-dir", str(workdir / "x")) == 2
         assert "line 2" in capsys.readouterr().err
 
@@ -181,13 +203,28 @@ class TestRunAndEval:
         assert "line 51" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("mode, code", [("offline", 2), ("live", 3)])
+    def test_undecodable_bytes_are_a_malformed_stream(self, workdir, capsys, mode, code):
+        detections, _ = simulate(workdir, "head_on")
+        lines = detections.read_bytes().splitlines(keepends=True)
+        detections.write_bytes(b"".join(lines[:30]) + b"\xff" + b"".join(lines[30:]))
+        out_dir = workdir / mode
+        assert run_cli(
+            "run", str(detections), "--out-dir", str(out_dir), "--pipeline.mode", mode
+        ) == code
+        assert "after line 30: not UTF-8" in capsys.readouterr().err
+        if mode == "offline":
+            assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["offline", "live"])
     def test_torn_last_line_keeps_earlier_frames(self, workdir, capsys, mode):
         # a recording cut mid-write: line 72 lost its tail and its newline
         detections, _ = simulate(workdir, "head_on")
         detections.write_bytes(detections.read_bytes()[:-40])
         out_dir = workdir / mode
-        code = run_cli("run", str(detections), "--out-dir", str(out_dir), "--mode", mode)
+        code = run_cli(
+            "run", str(detections), "--out-dir", str(out_dir), "--pipeline.mode", mode
+        )
         assert code == 0
         assert "warning: torn last line ignored: line 72" in capsys.readouterr().err
         report = json.loads((out_dir / "throughput.json").read_text())

@@ -1,12 +1,10 @@
 """Config loading, validation paths, and dotted overrides."""
 
 import json
-from importlib import resources
 
 import pytest
 
 from nearcrash.config import (
-    DEFAULTS,
     ConfigError,
     EngineConfig,
     FrameGeometry,
@@ -55,10 +53,6 @@ class TestDefaults:
         assert camera == FrameGeometry(frame_width=1000.0)
         assert not hasattr(camera, "focal_px")
         assert camera.principal_x == 500.0
-
-    def test_bundled_template_matches_defaults(self):
-        text = resources.files("nearcrash").joinpath("configs/default.json").read_text()
-        assert json.loads(text) == DEFAULTS
 
 
 class TestValidation:

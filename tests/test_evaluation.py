@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nearcrash.config import ConfigError
 from nearcrash.evaluation import (
     EvalReport,
     ScoredEvent,
@@ -139,6 +140,12 @@ class TestReport:
         report = make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0)
         again = EvalReport.from_dict(json.loads(report.to_json()))
         assert again == report
+
+    def test_from_dict_rejects_string_count(self):
+        obj = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35).to_json())
+        obj["tp"] = "34"
+        with pytest.raises(ConfigError, match=r"^tp: expected an integer"):
+            EvalReport.from_dict(obj)
 
     def test_zero_everything(self):
         report = make_report(0, 0, 0, n_videos=0, n_events=0)

@@ -1,7 +1,11 @@
 """Simulator oracle tests: projection, analytic TTC, labels, determinism."""
 
+import json
+from importlib import resources
+
 import pytest
 
+from nearcrash.config import ConfigError
 from nearcrash.sim import (
     ActorSpec,
     ScenarioSpec,
@@ -12,7 +16,12 @@ from nearcrash.sim import (
 )
 from nearcrash.streams import CameraSpec, frame_to_json
 
-from conftest import BIG_CAMERA
+from conftest import BIG_CAMERA, load_bundled_scenario
+
+BUNDLED = (
+    "head_on", "cut_in", "adjacent_pass", "receding", "truncated_oncoming",
+    "jaywalking_pedestrian",
+)
 
 
 def vehicle(**kwargs):
@@ -242,3 +251,65 @@ class TestSpecValidation:
         assert scenario.actors[0].kind == "pedestrian"
         assert scenario.bbox_noise_sigma == 0.0
         assert scenario.seed == 0
+
+
+def hand_mapped_spec(obj: dict) -> ScenarioSpec:
+    """The earlier key-by-key parser, kept as the oracle for the bundled files."""
+    cam = obj["camera"]
+    camera = CameraSpec(
+        focal_px=float(cam["focal_px"]),
+        frame_width=float(cam["frame_width"]),
+        frame_height=float(cam["frame_height"]),
+        fps=float(cam["fps"]),
+        principal_x=cam.get("principal_x"),
+    )
+    actors = tuple(
+        ActorSpec(
+            kind=a["class"],
+            real_height=float(a["real_height"]),
+            real_width=float(a["real_width"]),
+            init_longitudinal=float(a["init_longitudinal"]),
+            init_lateral=float(a.get("init_lateral", 0.0)),
+            vel_longitudinal=float(a.get("vel_longitudinal", 0.0)),
+            vel_lateral=float(a.get("vel_lateral", 0.0)),
+            collision_half_width=float(a.get("collision_half_width", 1.0)),
+        )
+        for a in obj["actors"]
+    )
+    return ScenarioSpec(
+        camera=camera,
+        actors=actors,
+        duration=float(obj["duration"]),
+        bbox_noise_sigma=float(obj.get("bbox_noise_sigma", 0.0)),
+        seed=int(obj.get("seed", 0)),
+    )
+
+
+def bundled_dict(name: str) -> dict:
+    return json.loads(resources.files("nearcrash").joinpath(f"scenarios/{name}.json").read_text())
+
+
+class TestSpecReader:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_scenario_parses_as_hand_mapped(self, name):
+        assert load_bundled_scenario(name) == hand_mapped_spec(bundled_dict(name))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda o: o["actors"][0].update(init_laterl=2.6),
+             r"^actors\[0\]\.init_laterl: unknown field$"),
+            (lambda o: o.update(seed=1.5), r"^seed: expected an integer, got 1\.5$"),
+            (lambda o: o["actors"][0].update({"class": 3}),
+             r"^actors\[0\]\.class: expected a string, got 3$"),
+            (lambda o: o["actors"][0].update({"class": "bicycle"}),
+             r"^actors\[0\]: unknown actor class 'bicycle'$"),
+            (lambda o: o.pop("duration"), r"^duration: missing$"),
+        ],
+        ids=["misspelt_key", "float_seed", "numeric_class", "unknown_class", "missing_duration"],
+    )
+    def test_rejects_with_path(self, edit, message):
+        obj = bundled_dict("cut_in")
+        edit(obj)
+        with pytest.raises(ConfigError, match=message):
+            ScenarioSpec.from_dict(obj)
