@@ -75,7 +75,9 @@ def _write_trajectory(
 
 def _read_fps(path: str) -> float:
     with open(path, "r", encoding="utf-8") as fp:
-        return float(json.load(fp)["achieved_fps"])
+        throughput = json.load(fp)
+    fps = throughput.get("achieved_fps") if isinstance(throughput, dict) else None
+    return evaluation.finite_number(fps, f"{path}: achieved_fps")
 
 
 def _load_scenario(spec_arg: str) -> sim.ScenarioSpec:

@@ -211,7 +211,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         if dotted not in flags:
             raise ConfigError(f"{dotted}: unknown field")
         section, leaf = dotted.split(".")
-        user.setdefault(section, {})[leaf] = value
+        if isinstance(user.setdefault(section, {}), dict):  # else build_config rejects it
+            user[section][leaf] = value
     return build_config(user)
 
 

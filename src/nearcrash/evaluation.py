@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .config import read_record
 
@@ -77,14 +78,6 @@ def match_events(
     )
 
 
-def precision(tp: int, fp: int) -> float:
-    return tp / (tp + fp) if tp + fp > 0 else 0.0
-
-
-def recall(tp: int, fn: int) -> float:
-    return tp / (tp + fn) if tp + fn > 0 else 0.0
-
-
 def f1(tp: int, fp: int, fn: int) -> float:
     """Harmonic mean of precision and recall; 0 when there is nothing to score."""
     denom = 2 * tp + fp + fn
@@ -130,8 +123,8 @@ def make_report(
         tp=tp,
         fp=fp,
         fn=fn,
-        precision=precision(tp, fp),
-        recall=recall(tp, fn),
+        precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+        recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
         f1=f1(tp, fp, fn),
         fps=fps,
     )
@@ -173,27 +166,35 @@ def render_table(report: EvalReport) -> str:
     return "\n".join((header, rule, row))
 
 
+def finite_number(value: Any, name: str) -> float:
+    """A finite JSON number as a float; anything else, bools too, raises ValueError."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
 def events_from_json(obj) -> List[ScoredEvent]:
     """Parse scored events from JSON.
 
     Accepts a list of {"video_id", "time"} objects; pipeline event logs
     using "trigger_time" are accepted too, with video_id defaulting to
-    "default" so single-video round trips need no extra wiring.
+    "default" so single-video round trips need no extra wiring. A video_id
+    must be a string and a time a finite JSON number; nothing is coerced.
     """
     if not isinstance(obj, list):
         raise ValueError("expected a JSON array of events")
     events = []
     for i, entry in enumerate(obj):
-        if not isinstance(entry, dict):
-            raise ValueError(f"event {i}: expected an object")
-        if "time" in entry:
-            t = entry["time"]
-        elif "trigger_time" in entry:
-            t = entry["trigger_time"]
-        else:
-            raise ValueError(f"event {i}: missing 'time' or 'trigger_time'")
         try:
-            events.append(ScoredEvent(str(entry.get("video_id", "default")), float(t)))
-        except (TypeError, ValueError) as exc:
+            if not isinstance(entry, dict):
+                raise ValueError("expected an object")
+            key = "time" if "time" in entry else "trigger_time"
+            if key not in entry:
+                raise ValueError("missing 'time' or 'trigger_time'")
+            video_id = entry.get("video_id", "default")
+            if not isinstance(video_id, str):
+                raise ValueError(f"video_id: expected a string, got {video_id!r}")
+            events.append(ScoredEvent(video_id, finite_number(entry[key], key)))
+        except ValueError as exc:
             raise ValueError(f"event {i}: {exc}") from exc
     return events

@@ -1,11 +1,12 @@
 """Detection runtime: one processing loop for offline and live mode.
 
 The loop owns tracker and rule state. For each frame it runs the
-tracker, passes the frame to the event recorder, and runs the TTC and
-motion fits and the rules for every confirmed track, passing each
-trigger to the recorder. The recorder owns the rest of an event record:
-the pre-event ring of frame ids, the GPS lookup and the event ids. It
-runs inline in the loop in both modes.
+tracker, passes the frame to the event recorder, and for every confirmed
+track runs the TTC fit, the motion fit (only where the size rule passes,
+or for annotations) and the rules, passing each trigger to the recorder.
+The recorder owns the rest of an event record: the pre-event ring of
+frame ids, the GPS lookup and the event ids. It runs inline in the loop
+in both modes.
 
 Offline mode reads every frame straight from the source, in order, so
 results are reproducible byte for byte. Live mode reads the source in a
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .config import EngineConfig, PipelineParams
 from .gps import GpsFix
-from .rules import NearCrashDecision, RuleEngine, event_type_for
+from .rules import NearCrashDecision, RuleEngine, check_size_rule, event_type_for
 from .streams import FrameRecord
 from .tracker import NonMonotonicFrameError, Tracker
 from .ttc import horizontal_motion, ttc_from_window
@@ -317,9 +318,10 @@ class _Processor:
     def __init__(
         self, config: EngineConfig, recorder: EventRecorder, collect_annotations: bool
     ):
-        self.config = config
         self.tracker = Tracker(config.tracker, config.window_capacity)
         self.engine = RuleEngine(config.rules, config.camera)
+        self.size_fit = (config.regression.size_window_len, config.regression.slope_epsilon)
+        self.motion_fit = (config.regression.center_window_len, config.camera, config.rules.c_los)
         self.recorder = recorder
         self.annotations: Optional[List[FrameSummary]] = (
             [] if collect_annotations else None
@@ -334,16 +336,14 @@ class _Processor:
         except NonMonotonicFrameError:
             self.rejected += 1
             return
-        cfg = self.config
         self.recorder.on_frame(frame.frame_id, frame.t)
         annotations = [] if self.annotations is not None else None
+        size_fit, motion_fit, rules = self.size_fit, self.motion_fit, self.engine.cfg
         for trk in tracks:
-            est = ttc_from_window(
-                trk.window, cfg.regression.size_window_len, cfg.regression.slope_epsilon
-            )
-            omega = horizontal_motion(
-                trk.window, cfg.regression.center_window_len, cfg.camera, cfg.rules.c_los
-            )
+            est = ttc_from_window(trk.window, *size_fit)
+            # a trigger needs the size rule: fit ω only where it passes, or for annotations
+            fit_omega = annotations is not None or check_size_rule(est, rules)
+            omega = horizontal_motion(trk.window, *motion_fit) if fit_omega else None
             decision = self.engine.decide(trk, est, omega, frame.t)
             if annotations is not None:
                 annotations.append(

@@ -53,10 +53,6 @@ def check_size_rule(ttc: Optional[TtcEstimate], cfg: RuleConfig) -> bool:
     return 0 < ttc.ttc_h < cfg.delta and 0 < ttc.ttc_w < cfg.phi
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, x))
-
-
 def check_motion_rule(
     omega: Optional[float],
     latest_cx: float,
@@ -72,8 +68,8 @@ def check_motion_rule(
     """
     if omega is None:
         return False, 0.0
-    x_norm = _clamp(normalized_center(latest_cx, camera, cfg.c_los), -1.0, 1.0)
-    y_norm = _clamp((camera.frame_height - latest_by) / camera.frame_height, 0.0, 1.0)
+    x_norm = max(-1.0, min(1.0, normalized_center(latest_cx, camera, cfg.c_los)))
+    y_norm = max(0.0, min(1.0, (camera.frame_height - latest_by) / camera.frame_height))
     product = omega * x_norm * y_norm
     return cfg.alpha < product < cfg.beta, product
 

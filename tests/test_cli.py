@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from nearcrash.cli import main
+from nearcrash.evaluation import make_report
 
 
 def run_cli(*argv):
@@ -166,6 +167,18 @@ class TestRunAndEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [(), ("--rules.delta", "2")])
+    def test_non_object_config_section_is_input_error(self, workdir, capsys, flags):
+        # a flag for the section must not turn the rejection into a crash
+        detections, _ = simulate(workdir, "head_on")
+        config = workdir / "config.json"
+        config.write_text('{"rules": 5}')
+        code = run_cli(
+            "run", str(detections), "--config", str(config), "--out-dir", str(workdir / "x"), *flags
+        )
+        assert code == 2
+        assert "rules: expected an object" in capsys.readouterr().err
+
     def test_malformed_stream_is_input_error(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text('{"frame_id": 0}\n')
@@ -264,6 +277,45 @@ class TestRunAndEval:
         assert code == 2
         assert "event 0:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "event", [{"video_id": 7, "time": 1.5}, {"time": "1.5"}, {"trigger_time": True}]
+    )
+    def test_eval_rejects_coercible_event_fields(self, workdir, capsys, event):
+        (workdir / "p.json").write_text(json.dumps([{"time": 1.0}, event]))
+        (workdir / "g.json").write_text('[{"time": 1.0}]')
+        code = run_cli(
+            "eval",
+            "--predictions", str(workdir / "p.json"),
+            "--ground-truth", str(workdir / "g.json"),
+        )
+        assert code == 2
+        assert "event 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", ['"24"', "true", "NaN", "null", "1e400"])
+    def test_eval_rejects_non_number_achieved_fps(self, workdir, capsys, fps):
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        (workdir / "t.json").write_text(f'{{"achieved_fps": {fps}}}')
+        code = run_cli(
+            "eval",
+            "--predictions", str(workdir / "p.json"),
+            "--ground-truth", str(workdir / "p.json"),
+            "--throughput", str(workdir / "t.json"),
+        )
+        assert code == 2
+        assert "achieved_fps: expected a finite number" in capsys.readouterr().err
+
+    def test_eval_takes_integer_achieved_fps(self, workdir, capsys):
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        (workdir / "t.json").write_text('{"achieved_fps": 24}')
+        code = run_cli(
+            "eval",
+            "--predictions", str(workdir / "p.json"),
+            "--ground-truth", str(workdir / "p.json"),
+            "--throughput", str(workdir / "t.json"),
+        )
+        assert code == 0
+        assert "24.0" in capsys.readouterr().out
+
 
 class TestGpsCommand:
     def test_conversion_and_geojson(self, workdir, capsys):
@@ -343,6 +395,13 @@ class TestReportCommand:
 
     def test_missing_file_is_input_error(self, workdir):
         assert run_cli("report", str(workdir / "absent.json")) == 2
+
+    def test_string_achieved_fps_is_input_error(self, workdir, capsys):
+        report = make_report(34, 7, 1, n_videos=100, n_events=35)
+        (workdir / "r.json").write_text(report.to_json())
+        (workdir / "t.json").write_text('{"achieved_fps": "18"}')
+        assert run_cli("report", str(workdir / "r.json"), "--throughput", str(workdir / "t.json")) == 2
+        assert "achieved_fps" in capsys.readouterr().err
 
 
 class TestHelp:

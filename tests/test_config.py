@@ -97,6 +97,13 @@ class TestLoadAndOverride:
         with pytest.raises(ConfigError, match=r"rules\.gamma"):
             load_config(None, overrides={"rules.gamma": 1.0})
 
+    @pytest.mark.parametrize("overrides", [None, {"rules.delta": 2.0}])
+    def test_non_object_section_with_override(self, tmp_path, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rules": 5}))
+        with pytest.raises(ConfigError, match="^rules: expected an object$"):
+            load_config(str(path), overrides=overrides)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -184,8 +184,17 @@ class TestEventsFromJson:
         with pytest.raises(ValueError):
             events_from_json([{"video_id": "a"}])
 
+    def test_rejects_non_string_video_id(self):
+        with pytest.raises(ValueError, match="event 0: video_id"):
+            events_from_json([{"video_id": 7, "time": 1.5}])
+
+    def test_integer_time_taken_as_float(self):
+        assert events_from_json([{"time": 2}]) == [ScoredEvent("default", 2.0)]
+
     @pytest.mark.parametrize("key", ["time", "trigger_time"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, None, "x"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1.0, None, "x", "1.5", True, 10**400]
+    )
     def test_rejects_bad_time_with_index(self, key, bad):
         # json.loads accepts the NaN and Infinity literals
         obj = json.loads(json.dumps([{key: 1.0}, {key: bad}]))

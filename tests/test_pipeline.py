@@ -6,8 +6,9 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from nearcrash import pipeline
 from nearcrash.config import build_config
 from nearcrash.gps import GpsFix
 from nearcrash.pipeline import (
@@ -17,8 +18,8 @@ from nearcrash.pipeline import (
     run,
 )
 from nearcrash.rules import NearCrashDecision
-from nearcrash.sim import generate_detections, label_ground_truth_events
-from nearcrash.streams import FrameRecord
+from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, label_ground_truth_events
+from nearcrash.streams import CameraSpec, FrameRecord
 from nearcrash.tracker import Track
 from nearcrash.ttc import TtcEstimate
 
@@ -338,6 +339,80 @@ class TestOfflineRun:
         assert event.clip_start == event.trigger_time - 1.0
         in_clip = [f.frame_id for f in frames if event.clip_start <= f.t <= event.clip_end]
         assert list(event.frame_ids) == in_clip
+
+
+def multi_actor_scenario(actors, noise: float, seed: int) -> ScenarioSpec:
+    camera = CameraSpec(focal_px=1000.0, frame_width=1280.0, frame_height=720.0, fps=24.0)
+    return ScenarioSpec(camera, tuple(actors), duration=4.0, bbox_noise_sigma=noise, seed=seed)
+
+
+# a vehicle on a collision course, a cut-in, a slow follower and a receding pedestrian
+FUNNEL_ACTORS = (
+    ActorSpec("vehicle", 1.5, 1.8, 30.0, vel_longitudinal=9.0, collision_half_width=1.2),
+    ActorSpec("vehicle", 1.5, 1.8, 25.0, init_lateral=3.5, vel_longitudinal=8.0, vel_lateral=-0.5),
+    ActorSpec("vehicle", 1.5, 1.8, 20.0, init_lateral=-3.5, vel_longitudinal=0.5),
+    ActorSpec("pedestrian", 1.7, 0.5, 15.0, init_lateral=-2.0, vel_longitudinal=-1.0),
+)
+
+
+class TestRuleFunnel:
+    """The motion fit runs only where the size rule passes, unless annotating."""
+
+    @pytest.fixture
+    def motion_fits(self, monkeypatch):
+        # counts calls through the pipeline module's global, the tracer's target
+        calls = []
+        fit = pipeline.horizontal_motion
+
+        def counting(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "horizontal_motion", counting)
+        return calls
+
+    def test_motion_fit_calls(self, motion_fits):
+        scenario = multi_actor_scenario(FUNNEL_ACTORS, noise=0.01, seed=3)
+        frames = generate_detections(scenario)
+        cfg = config_for_scenario(scenario)
+        annotated = run(frames, cfg, collect_annotations=True)
+        track_frames = [ann for summary in annotated.annotations for ann in summary.tracks]
+        size_pass = sum(ann.size_rule_pass for ann in track_frames)
+        assert 0 < size_pass < len(track_frames)
+        assert len(motion_fits) == len(track_frames)
+        motion_fits.clear()
+        plain = run(frames, cfg)
+        assert len(motion_fits) == size_pass
+        assert plain.events and [e.to_dict() for e in plain.events] == [
+            e.to_dict() for e in annotated.events
+        ]
+
+
+ACTORS = st.builds(
+    ActorSpec,
+    kind=st.sampled_from(["vehicle", "pedestrian"]),
+    real_height=st.floats(1.0, 2.0),
+    real_width=st.floats(0.5, 2.0),
+    init_longitudinal=st.floats(8.0, 60.0),
+    init_lateral=st.floats(-6.0, 6.0),
+    vel_longitudinal=st.floats(-5.0, 15.0),
+    vel_lateral=st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    actors=st.lists(ACTORS, min_size=2, max_size=5),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+)
+def test_annotations_do_not_change_events(actors, noise, seed):
+    scenario = multi_actor_scenario(actors, noise, seed)
+    frames = generate_detections(scenario)
+    cfg = config_for_scenario(scenario)
+    plain = run(frames, cfg).events
+    annotated = run(frames, cfg, collect_annotations=True).events
+    assert [e.to_dict() for e in plain] == [e.to_dict() for e in annotated]
 
 
 def lockstep(frames):
