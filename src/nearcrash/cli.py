@@ -12,6 +12,7 @@ line is warned about and counted as `torn_lines` in throughput.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -32,13 +33,16 @@ def _parse_flag_value(text: str):
         return text
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+def _add_override_flags(parser: argparse.ArgumentParser, section: Optional[str] = None) -> None:
+    """A flag per config field, or per field of `section` alone."""
+    names = [d for d in config_mod.override_flags() if section in (None, d.split(".")[0])]
+    example = f"--{names[0]} VALUE" if section else "--rules.delta 2.5 or --pipeline.mode live"
     group = parser.add_argument_group(
         "config overrides",
-        "every config field is a flag of its dotted name, e.g. --rules.delta 2.5 "
-        "or --pipeline.mode live (fields: nearcrash.config.DEFAULTS)",
+        f"every {section or 'config'} field is a flag of its dotted name, e.g. {example} "
+        "(fields: nearcrash.config.DEFAULTS)",
     )
-    for dotted in config_mod.override_flags():
+    for dotted in names:
         group.add_argument(
             f"--{dotted}",
             dest=f"override__{dotted.replace('.', '__')}",
@@ -75,9 +79,11 @@ def _write_trajectory(
 
 def _read_fps(path: str) -> float:
     with open(path, "r", encoding="utf-8") as fp:
-        throughput = json.load(fp)
-    fps = throughput.get("achieved_fps") if isinstance(throughput, dict) else None
-    return evaluation.finite_number(fps, f"{path}: achieved_fps")
+        raw = json.load(fp)
+    try:
+        return config_mod.read_record(pipeline.ThroughputReport, raw).achieved_fps
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_scenario(spec_arg: str) -> sim.ScenarioSpec:
@@ -169,7 +175,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"warning: torn last line ignored: {exc}", file=sys.stderr)
 
     _write_json(out_dir / "events.json", [e.to_dict() for e in result.events])
-    _write_json(out_dir / "throughput.json", {**result.report.to_dict(), "torn_lines": len(torn)})
+    report = dataclasses.replace(result.report, torn_lines=len(torn))
+    _write_json(out_dir / "throughput.json", report.to_dict())
     if fixes is not None:
         _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
     if result.annotations is not None:
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gps.add_argument("--out-dir", required=True)
     p_gps.add_argument("--events", default=None, help="event log JSON for a map overlay")
     p_gps.add_argument("--config", default=None)
-    _add_override_flags(p_gps)
+    _add_override_flags(p_gps, "gps")  # the only section gps reads
     p_gps.set_defaults(func=cmd_gps)
 
     p_rep = sub.add_parser("report", help="render a saved evaluation report")

@@ -7,7 +7,8 @@ and a motion band of (-0.75, 0.05).
 
 Each section is a frozen dataclass and each field is declared once. The
 declaration gives the default; the annotation gives the JSON type (an
-``int`` rejects floats and booleans, a ``float`` also takes ints, a
+``int`` rejects floats and booleans, a ``float`` takes a finite number,
+ints too but not booleans, NaN, infinities or ints beyond float range, a
 ``str`` takes only strings, an ``Optional`` also takes null, a
 ``Literal`` lists the allowed values, a ``Tuple[X, ...]`` reads an
 array and a dataclass a nested object); and ``setting(default, check,
@@ -16,12 +17,14 @@ override flags, the override check and the validation in
 ``build_config`` are all read from those fields. Checks across fields
 live in the section's ``__post_init__`` and are reported under the
 section name. `read_record` reads every JSON record of the package this
-way: the config, scenario specs (`sim`) and eval reports (`evaluation`).
+way: the config, scenario specs (`sim`), eval reports and scored events
+(`evaluation`) and throughput files (`pipeline.ThroughputReport`).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import (
@@ -34,8 +37,9 @@ from .ttc import SLOPE_EPSILON
 
 
 class ConfigError(ValueError):
-    """A JSON record rejected: the engine config, a scenario spec or an eval
-    report. The message carries the offending field path."""
+    """A JSON record rejected: the engine config, a scenario spec, an eval
+    report, a scored event or a throughput file. The message carries the
+    offending field path."""
 
 
 def setting(default: Any, check: Callable[[Any], bool], message: str) -> Any:
@@ -150,9 +154,9 @@ def _typed(value: Any, kind: Any, path: str) -> Any:
         if number and isinstance(value, int):
             return value
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if number:
+    if number and abs(value) <= sys.float_info.max:  # False for NaN too
         return float(value)
-    raise ConfigError(f"{path}: expected a number, got {value!r}")
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def read_record(cls: type, raw: Any, path: str = "") -> Any:

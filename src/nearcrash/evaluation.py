@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import read_record
 
@@ -166,13 +165,6 @@ def render_table(report: EvalReport) -> str:
     return "\n".join((header, rule, row))
 
 
-def finite_number(value: Any, name: str) -> float:
-    """A finite JSON number as a float; anything else, bools too, raises ValueError."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ValueError(f"{name}: expected a finite number, got {value!r}")
-
-
 def events_from_json(obj) -> List[ScoredEvent]:
     """Parse scored events from JSON.
 
@@ -191,10 +183,8 @@ def events_from_json(obj) -> List[ScoredEvent]:
             key = "time" if "time" in entry else "trigger_time"
             if key not in entry:
                 raise ValueError("missing 'time' or 'trigger_time'")
-            video_id = entry.get("video_id", "default")
-            if not isinstance(video_id, str):
-                raise ValueError(f"video_id: expected a string, got {video_id!r}")
-            events.append(ScoredEvent(video_id, finite_number(entry[key], key)))
+            record = {"video_id": entry.get("video_id", "default"), "time": entry[key]}
+            events.append(read_record(ScoredEvent, record))
         except ValueError as exc:
             raise ValueError(f"event {i}: {exc}") from exc
     return events

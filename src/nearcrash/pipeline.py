@@ -233,15 +233,14 @@ class EventRecorder:
     ) -> None:
         """Open the record of a trigger in the frame last passed to on_frame."""
         pre_start = t - self.context.span_seconds
-        ttc = decision.ttc
         self._pending.append(
             NearCrashEvent(
                 event_id=self._next_event_id,
                 track_id=track_id,
                 event_type=event_type_for(kind),
                 trigger_time=t,
-                ttc_h=ttc.ttc_h if ttc else None,
-                ttc_w=ttc.ttc_w if ttc else None,
+                ttc_h=decision.ttc_h,
+                ttc_w=decision.ttc_w,
                 gps=self._latest_gps(t),
                 clip_start=max(pre_start, self._stream_start),
                 clip_end=t + self.post_seconds,
@@ -299,6 +298,7 @@ class ThroughputReport:
     wall_seconds: float = 0.0
     achieved_fps: float = 0.0
     sink_failures: int = 0
+    torn_lines: int = 0  # torn stream tails dropped by the reader; the CLI counts them
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -346,20 +346,7 @@ class _Processor:
             omega = horizontal_motion(trk.window, *motion_fit) if fit_omega else None
             decision = self.engine.decide(trk, est, omega, frame.t)
             if annotations is not None:
-                annotations.append(
-                    TrackAnnotation(
-                        track_id=trk.id,
-                        kind=trk.kind,
-                        box=trk.box(),
-                        ttc_h=est.ttc_h if est else None,
-                        ttc_w=est.ttc_w if est else None,
-                        omega=omega,
-                        size_rule_pass=decision.size_rule_pass,
-                        motion_rule_pass=decision.motion_rule_pass,
-                        motion_product=decision.motion_product,
-                        triggered=decision.triggered,
-                    )
-                )
+                annotations.append(TrackAnnotation(trk.id, trk.kind, trk.box(), **asdict(decision)))
             if decision.triggered:
                 self.recorder.on_trigger(trk.id, trk.kind, frame.t, decision)
         if annotations is not None:

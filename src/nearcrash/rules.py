@@ -76,10 +76,14 @@ def check_motion_rule(
 
 @dataclass(frozen=True)
 class NearCrashDecision:
+    """One track-frame's rule inputs and outcome, as annotations and events record them."""
+
     triggered: bool
     size_rule_pass: bool
     motion_rule_pass: bool
-    ttc: Optional[TtcEstimate]
+    ttc_h: Optional[float]
+    ttc_w: Optional[float]
+    omega: Optional[float]
     motion_product: float
 
 
@@ -112,6 +116,8 @@ class RuleEngine:
             triggered=triggered,
             size_rule_pass=size_ok,
             motion_rule_pass=motion_ok,
-            ttc=ttc,
+            ttc_h=ttc.ttc_h if ttc else None,
+            ttc_w=ttc.ttc_w if ttc else None,
+            omega=omega,
             motion_product=product,
         )

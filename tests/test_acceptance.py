@@ -357,8 +357,7 @@ def test_criterion_8_event_record_contract():
                     pending[trig], "vehicle", t,
                     NearCrashDecision(
                         triggered=True, size_rule_pass=True, motion_rule_pass=True,
-                        ttc=TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=5.0, slope_w=5.0),
-                        motion_product=0.0,
+                        ttc_h=2.0, ttc_w=4.0, omega=0.0, motion_product=0.0,
                     ),
                 )
                 del pending[trig]

@@ -13,6 +13,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# JSON literals that are not finite numbers: json.loads takes all four, the
+# last as an integer past float range
+NON_FINITE = ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="400_digit_int")]
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -265,7 +270,7 @@ class TestRunAndEval:
         cells = [c.strip() for c in row.split("|")]
         assert cells[:6] == ["100", "35", "34", "7", "1", "0.895"]
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("literal", NON_FINITE)
     def test_eval_rejects_non_finite_event_time(self, workdir, capsys, literal):
         (workdir / "p.json").write_text(f'[{{"trigger_time": {literal}}}]')
         (workdir / "g.json").write_text('[{"time": 1.0}]')
@@ -291,7 +296,7 @@ class TestRunAndEval:
         assert code == 2
         assert "event 1:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fps", ['"24"', "true", "NaN", "null", "1e400"])
+    @pytest.mark.parametrize("fps", ['"24"', "true", "null", "1e400", *NON_FINITE])
     def test_eval_rejects_non_number_achieved_fps(self, workdir, capsys, fps):
         (workdir / "p.json").write_text('[{"time": 1.0}]')
         (workdir / "t.json").write_text(f'{{"achieved_fps": {fps}}}')
@@ -315,6 +320,89 @@ class TestRunAndEval:
         )
         assert code == 0
         assert "24.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn_tail"])
+    def test_throughput_file_reads_back(self, workdir, capsys, torn):
+        # every key `run` writes must be declared on ThroughputReport
+        detections, labels = simulate(workdir, "head_on")
+        if torn:
+            detections.write_bytes(detections.read_bytes()[:-40])
+        out_dir = workdir / "out"
+        assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 0
+        throughput = json.loads((out_dir / "throughput.json").read_text())
+        assert throughput["torn_lines"] == int(torn)
+        capsys.readouterr()
+        code = run_cli(
+            "eval",
+            "--predictions", str(out_dir / "events.json"),
+            "--ground-truth", str(labels),
+            "--throughput", str(out_dir / "throughput.json"),
+        )
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1]
+        assert row.split("|")[-1].strip() == f"{throughput['achieved_fps']:.1f}"
+
+    def test_unknown_throughput_key_names_file(self, workdir, capsys):
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        (workdir / "t.json").write_text('{"achieved_fps": 24, "fps": 24}')
+        code = run_cli(
+            "eval",
+            "--predictions", str(workdir / "p.json"),
+            "--ground-truth", str(workdir / "p.json"),
+            "--throughput", str(workdir / "t.json"),
+        )
+        assert code == 2
+        assert f"{workdir / 't.json'}: fps: unknown field" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    """Each JSON reader rejects a number that is not finite, with its path."""
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_config_file(self, workdir, capsys, literal):
+        detections, _ = simulate(workdir, "head_on")
+        (workdir / "c.json").write_text(f'{{"rules": {{"delta": {literal}}}}}')
+        code = run_cli(
+            "run", str(detections), "--config", str(workdir / "c.json"),
+            "--out-dir", str(workdir / "x"),
+        )
+        assert code == 2
+        assert "rules.delta: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_run_flag(self, workdir, capsys, literal):
+        detections, _ = simulate(workdir, "head_on")
+        code = run_cli(
+            "run", str(detections), "--out-dir", str(workdir / "x"), f"--rules.c_los={literal}"
+        )
+        assert code == 2
+        assert "rules.c_los: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_gps_flag(self, workdir, capsys, literal):
+        (workdir / "fixes.csv").write_text("t,lat_raw,lon_raw\n0,0,0\n")
+        code = run_cli(
+            "gps", str(workdir / "fixes.csv"), "--out-dir", str(workdir / "g"),
+            f"--gps.lat_offset={literal}",
+        )
+        assert code == 2
+        assert "gps.lat_offset: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_scenario(self, workdir, capsys, literal):
+        obj = json.loads(
+            resources.files("nearcrash").joinpath("scenarios/cut_in.json").read_text()
+        )
+        obj["actors"][0]["vel_lateral"] = json.loads(literal)
+        (workdir / "spec.json").write_text(json.dumps(obj))
+        code = run_cli(
+            "simulate", str(workdir / "spec.json"),
+            "--out-detections", str(workdir / "d.jsonl"),
+            "--out-labels", str(workdir / "l.json"),
+        )
+        assert code == 2
+        assert "actors[0].vel_lateral: expected a finite number" in capsys.readouterr().err
+        assert not (workdir / "d.jsonl").exists()
 
 
 class TestGpsCommand:
@@ -367,6 +455,19 @@ class TestGpsCommand:
         assert gps_csv == (workdir / "runout" / "trajectory.csv").read_text()
         kept = [line.split(",")[0] for line in gps_csv.splitlines()[1:]]
         assert kept == ["0.0", "3.0", "6.0", "9.0"]
+
+    def test_takes_only_gps_flags(self, workdir, capsys):
+        # gps reads no other config section, so it takes no other override flag
+        (workdir / "fixes.csv").write_text("t,lat_raw,lon_raw\n0,0,0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gps", str(workdir / "fixes.csv"), "--out-dir", str(workdir / "g"),
+                    "--rules.delta", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rules.delta 2" in capsys.readouterr().err
+        assert not (workdir / "g").exists()
+        detections, _ = simulate(workdir, "head_on")
+        assert run_cli("run", str(detections), "--out-dir", str(workdir / "r"),
+                       "--rules.delta", "2") == 0
 
     def test_event_overlay(self, workdir):
         csv = workdir / "fixes.csv"

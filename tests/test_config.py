@@ -84,6 +84,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"rules\.delta"):
             build_config({"rules": {"delta": "fast"}})
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 10**400, True],
+        ids=["nan", "inf", "-inf", "overflowing_int", "bool"],
+    )
+    @pytest.mark.parametrize("field", ["delta", "c_los"])  # float and Optional[float]
+    def test_float_field_takes_only_finite_numbers(self, field, bad):
+        with pytest.raises(ConfigError, match=rf"^rules\.{field}: expected a finite number"):
+            build_config({"rules": {field: bad}})
+
+    def test_float_field_takes_integers(self):
+        assert build_config({"rules": {"c_los": 640}}).rules.c_los == 640.0
+
 
 class TestLoadAndOverride:
     def test_load_file_with_overrides(self, tmp_path):

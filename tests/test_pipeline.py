@@ -21,7 +21,6 @@ from nearcrash.rules import NearCrashDecision
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, label_ground_truth_events
 from nearcrash.streams import CameraSpec, FrameRecord
 from nearcrash.tracker import Track
-from nearcrash.ttc import TtcEstimate
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -115,7 +114,9 @@ TRIGGER = NearCrashDecision(
     triggered=True,
     size_rule_pass=True,
     motion_rule_pass=True,
-    ttc=TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=1.0, slope_w=1.0),
+    ttc_h=2.0,
+    ttc_w=4.0,
+    omega=0.0,
     motion_product=0.0,
 )
 
