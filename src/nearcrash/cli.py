@@ -21,8 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import config as config_mod
 from . import evaluation, gps as gps_mod, pipeline, sim, streams
-from .config import ConfigError
-from .rules import RuleConfig
+from .config import ConfigError, RuleConfig
 
 
 def _parse_flag_value(text: str):
@@ -68,13 +67,13 @@ def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
 
 def _write_trajectory(
     fixes: Sequence[gps_mod.GpsFix], period: float, out_dir: Path
-) -> gps_mod.TrajectoryLog:
+) -> List[gps_mod.GpsFix]:
     """Sample fixes every `period` seconds into trajectory.csv and .geojson."""
-    log = gps_mod.sample_trajectory(fixes, period)
+    kept = gps_mod.sample_trajectory(fixes, period)
     with open(out_dir / "trajectory.csv", "w", encoding="utf-8", newline="") as fp:
-        gps_mod.write_trajectory_csv(log, fp)
-    _write_json(out_dir / "trajectory.geojson", gps_mod.trajectory_geojson(log), sort_keys=False)
-    return log
+        gps_mod.write_trajectory_csv(kept, fp)
+    _write_json(out_dir / "trajectory.geojson", gps_mod.trajectory_geojson(kept), sort_keys=False)
+    return kept
 
 
 def _read_fps(path: str) -> float:
@@ -206,7 +205,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predictions = _load_events_file(args.predictions)
         ground_truth = _load_events_file(args.ground_truth)
         fps = None if args.throughput is None else _read_fps(args.throughput)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = evaluation.score(
@@ -229,10 +228,10 @@ def cmd_gps(args: argparse.Namespace) -> int:
         cfg = config_mod.load_config(args.config, _collect_overrides(args))
         with open(args.fixes, "r", encoding="utf-8") as fp:
             fixes, warnings = gps_mod.read_fix_csv(fp, cfg.gps.affine)
-        events = None
+        overlay = None
         if args.events is not None:
             with open(args.events, "r", encoding="utf-8") as fp:
-                events = json.load(fp)
+                overlay = gps_mod.events_geojson(json.load(fp))
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -242,11 +241,11 @@ def cmd_gps(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    log = _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
-    if events is not None:
-        _write_json(out_dir / "events.geojson", gps_mod.events_geojson(events), sort_keys=False)
+    kept = _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
+    if overlay is not None:
+        _write_json(out_dir / "events.geojson", overlay, sort_keys=False)
     print(
-        f"kept {len(log.fixes)} of {len(fixes)} fixes "
+        f"kept {len(kept)} of {len(fixes)} fixes "
         f"({len(warnings)} rows skipped or reordered) -> {out_dir}"
     )
     return 0
@@ -261,7 +260,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 report.tp, report.fp, report.fn, report.n_videos, report.n_events,
                 _read_fps(args.throughput),
             )
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(evaluation.render_table(report))

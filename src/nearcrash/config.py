@@ -5,7 +5,9 @@ detector confidence 0.4, size windows of 12 samples, center windows of
 18, a 3 s height-TTC threshold with the width threshold at 2.25x that,
 and a motion band of (-0.75, 0.05).
 
-Each section is a frozen dataclass and each field is declared once. The
+Every section is a frozen dataclass declared here, `RuleConfig` included,
+so `rules` and `ttc` import their settings from this module, which imports
+no other package module but `gps`. Each field is declared once. The
 declaration gives the default; the annotation gives the JSON type (an
 ``int`` rejects floats and booleans, a ``float`` takes a finite number,
 ints too but not booleans, NaN, infinities or ints beyond float range, a
@@ -32,8 +34,6 @@ from typing import (
 )
 
 from .gps import SAMPLE_PERIOD_S, GpsAffine
-from .rules import RuleConfig
-from .ttc import SLOPE_EPSILON
 
 
 class ConfigError(ValueError):
@@ -84,7 +84,24 @@ class TrackerParams:
 class RegressionParams:
     size_window_len: int = _at_least(12, 2)
     center_window_len: int = _at_least(18, 2)
-    slope_epsilon: float = _positive(SLOPE_EPSILON)
+
+
+@dataclass(frozen=True)
+class RuleConfig:
+    delta: float = 3.0          # height-TTC threshold, seconds
+    phi: float = 6.75           # width-TTC threshold, seconds
+    alpha: float = -0.75        # motion-product lower bound
+    beta: float = 0.05          # motion-product upper bound
+    c_los: Optional[float] = None  # center line of sight; None -> principal_x
+    cooldown: float = 10.0      # per-track re-trigger suppression, seconds
+
+    def __post_init__(self):
+        if not (0 < self.delta < self.phi):
+            raise ValueError(f"need 0 < delta < phi, got delta={self.delta}, phi={self.phi}")
+        if not (self.alpha < 0 < self.beta):
+            raise ValueError(f"need alpha < 0 < beta, got alpha={self.alpha}, beta={self.beta}")
+        if self.cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Tuple
+from typing import IO, Any, Iterable, List, Sequence, Tuple
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -57,11 +58,11 @@ def convert_raw_to_wgs84(
 
 @dataclass(frozen=True)
 class GpsFix:
+    """A fix in WGS84 degrees at time t, seconds."""
+
     t: float
-    lat_raw: float
-    lon_raw: float
-    lat_wgs84: float
-    lon_wgs84: float
+    lat: float
+    lon: float
 
     @staticmethod
     def from_raw(
@@ -69,8 +70,7 @@ class GpsFix:
     ) -> "GpsFix":
         if not math.isfinite(t):
             raise InvalidFixError(f"non-finite fix time {t}")
-        lat, lon = convert_raw_to_wgs84(lat_raw, lon_raw, affine)
-        return GpsFix(t=t, lat_raw=lat_raw, lon_raw=lon_raw, lat_wgs84=lat, lon_wgs84=lon)
+        return GpsFix(t, *convert_raw_to_wgs84(lat_raw, lon_raw, affine))
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -86,19 +86,8 @@ def speed_between(a: GpsFix, b: GpsFix) -> float:
     """Mean speed in m/s between two fixes; requires b.t > a.t."""
     if b.t <= a.t:
         raise ValueError(f"fix timestamps must increase: {a.t} -> {b.t}")
-    dist = haversine_m(a.lat_wgs84, a.lon_wgs84, b.lat_wgs84, b.lon_wgs84)
+    dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
     return dist / (b.t - a.t)
-
-
-@dataclass
-class TrajectoryLog:
-    fixes: List[GpsFix]
-
-    @property
-    def speeds(self) -> List[float]:
-        return [
-            speed_between(a, b) for a, b in zip(self.fixes, self.fixes[1:])
-        ]
 
 
 SAMPLE_PERIOD_S = 3.0
@@ -106,7 +95,7 @@ SAMPLE_PERIOD_S = 3.0
 
 def sample_trajectory(
     fixes: Iterable[GpsFix], period: float = SAMPLE_PERIOD_S
-) -> TrajectoryLog:
+) -> List[GpsFix]:
     """Keep the first fix, then the next fix at least `period` seconds later."""
     if period <= 0:
         raise ValueError("period must be > 0")
@@ -114,7 +103,7 @@ def sample_trajectory(
     for fix in fixes:
         if not kept or fix.t >= kept[-1].t + period:
             kept.append(fix)
-    return TrajectoryLog(fixes=kept)
+    return kept
 
 
 def read_fix_csv(
@@ -148,45 +137,53 @@ def read_fix_csv(
     return sorted(fixes, key=lambda f: f.t), warnings
 
 
-def write_trajectory_csv(log: TrajectoryLog, fp: IO[str]) -> None:
-    """Columns t,lat,lon,speed_mps; the first row has no speed."""
+def write_trajectory_csv(fixes: Sequence[GpsFix], fp: IO[str]) -> None:
+    """Columns t,lat,lon,speed_mps; the speed since the previous fix, none on the first row."""
     writer = csv.writer(fp)
     writer.writerow(["t", "lat", "lon", "speed_mps"])
-    speeds = [None] + log.speeds
-    for fix, speed in zip(log.fixes, speeds):
-        writer.writerow(
-            [fix.t, fix.lat_wgs84, fix.lon_wgs84, "" if speed is None else speed]
-        )
+    for i, fix in enumerate(fixes):
+        speed = speed_between(fixes[i - 1], fix) if i else ""
+        writer.writerow([fix.t, fix.lat, fix.lon, speed])
 
 
-def trajectory_geojson(log: TrajectoryLog) -> dict:
+def trajectory_geojson(fixes: Sequence[GpsFix]) -> dict:
     features = []
-    if log.fixes:
+    if fixes:
         features.append(
             {
                 "type": "Feature",
                 "geometry": {
                     "type": "LineString",
                     # GeoJSON orders coordinates [lon, lat]
-                    "coordinates": [[f.lon_wgs84, f.lat_wgs84] for f in log.fixes],
+                    "coordinates": [[f.lon, f.lat] for f in fixes],
                 },
                 "properties": {
-                    "t_start": log.fixes[0].t,
-                    "t_end": log.fixes[-1].t,
-                    "n_fixes": len(log.fixes),
+                    "t_start": fixes[0].t,
+                    "t_end": fixes[-1].t,
+                    "n_fixes": len(fixes),
                 },
             }
         )
     return {"type": "FeatureCollection", "features": features}
 
 
-def events_geojson(events: Iterable[dict]) -> dict:
-    """Map overlay of near-crash events that carry a GPS fix."""
+def events_geojson(events: Any) -> dict:
+    """Map overlay of the logged events that carry a GPS fix; a malformed entry raises ValueError."""
+    if not isinstance(events, list):
+        raise ValueError("expected a JSON array of events")
     features = []
-    for ev in events:
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"event {i}: expected an object")
         gps = ev.get("gps")
-        if not gps:
+        if gps is None:
             continue
+        if not isinstance(gps, dict):
+            raise ValueError(f"event {i}: gps: expected an object or null")
+        for key in ("lat", "lon"):
+            value = gps.get(key)  # a JSON number, not a bool; abs(NaN) <= max is False
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"event {i}: gps.{key}: expected a finite number, got {value!r}")
         features.append(
             {
                 "type": "Feature",

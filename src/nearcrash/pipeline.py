@@ -167,7 +167,7 @@ class NearCrashEvent:
     trigger_time: float
     ttc_h: Optional[float]
     ttc_w: Optional[float]
-    gps: Optional[dict]
+    gps: Optional[GpsFix]
     clip_start: float
     clip_end: float
     frame_ids: List[int]
@@ -262,16 +262,10 @@ class EventRecorder:
             self._finalize(event)
         self._pending = []
 
-    def _latest_gps(self, t: float) -> Optional[dict]:
-        while (
-            self._fix_idx + 1 < len(self.fixes)
-            and self.fixes[self._fix_idx + 1].t <= t
-        ):
+    def _latest_gps(self, t: float) -> Optional[GpsFix]:
+        while self._fix_idx + 1 < len(self.fixes) and self.fixes[self._fix_idx + 1].t <= t:
             self._fix_idx += 1
-        if self._fix_idx < 0:
-            return None
-        fix = self.fixes[self._fix_idx]
-        return {"lat": fix.lat_wgs84, "lon": fix.lon_wgs84, "t": fix.t}
+        return self.fixes[self._fix_idx] if self._fix_idx >= 0 else None
 
     def _finalize(self, event: NearCrashEvent) -> None:
         self.events.append(event)
@@ -320,7 +314,7 @@ class _Processor:
     ):
         self.tracker = Tracker(config.tracker, config.window_capacity)
         self.engine = RuleEngine(config.rules, config.camera)
-        self.size_fit = (config.regression.size_window_len, config.regression.slope_epsilon)
+        self.size_window_len = config.regression.size_window_len
         self.motion_fit = (config.regression.center_window_len, config.camera, config.rules.c_los)
         self.recorder = recorder
         self.annotations: Optional[List[FrameSummary]] = (
@@ -338,9 +332,9 @@ class _Processor:
             return
         self.recorder.on_frame(frame.frame_id, frame.t)
         annotations = [] if self.annotations is not None else None
-        size_fit, motion_fit, rules = self.size_fit, self.motion_fit, self.engine.cfg
+        size_len, motion_fit, rules = self.size_window_len, self.motion_fit, self.engine.cfg
         for trk in tracks:
-            est = ttc_from_window(trk.window, *size_fit)
+            est = ttc_from_window(trk.window, size_len)
             # a trigger needs the size rule: fit ω only where it passes, or for annotations
             fit_omega = annotations is not None or check_size_rule(est, rules)
             omega = horizontal_motion(trk.window, *motion_fit) if fit_omega else None

@@ -16,34 +16,10 @@ time of a track's last trigger is kept on the track itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
+from .config import FrameGeometry, RuleConfig
 from .ttc import TtcEstimate, normalized_center
-
-if TYPE_CHECKING:  # config imports this module for RuleConfig
-    from .config import FrameGeometry
-
-
-@dataclass(frozen=True)
-class RuleConfig:
-    delta: float = 3.0          # height-TTC threshold, seconds
-    phi: float = 6.75           # width-TTC threshold, seconds
-    alpha: float = -0.75        # motion-product lower bound
-    beta: float = 0.05          # motion-product upper bound
-    c_los: Optional[float] = None  # center line of sight; None -> principal_x
-    cooldown: float = 10.0      # per-track re-trigger suppression, seconds
-
-    def __post_init__(self):
-        if not (0 < self.delta < self.phi):
-            raise ValueError(
-                f"need 0 < delta < phi, got delta={self.delta}, phi={self.phi}"
-            )
-        if not (self.alpha < 0 < self.beta):
-            raise ValueError(
-                f"need alpha < 0 < beta, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
 
 
 def check_size_rule(ttc: Optional[TtcEstimate], cfg: RuleConfig) -> bool:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Deque, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # config imports this module through rules
-    from .config import FrameGeometry
+from .config import FrameGeometry
 
 
 class DegenerateFitError(ValueError):
@@ -39,7 +38,6 @@ class Sample(NamedTuple):
 @dataclass(frozen=True)
 class RegressionResult:
     slope: float
-    intercept: float
     n: int
     fitted_latest: float
     t_mean: float
@@ -77,7 +75,7 @@ def fit_slope(points: Sequence[Tuple[float, float]]) -> RegressionResult:
     t_mean, [(slope, v_mean)] = _ols(ts, [v for _, v in points])
     intercept = v_mean - slope * t_mean
     return RegressionResult(
-        slope=slope, intercept=intercept, n=len(ts), fitted_latest=intercept + slope * ts[-1],
+        slope=slope, n=len(ts), fitted_latest=intercept + slope * ts[-1],
         t_mean=t_mean, value_mean=v_mean, t_latest=ts[-1],
     )
 
@@ -92,16 +90,12 @@ class TtcEstimate:
 
     ttc_h: Optional[float]
     ttc_w: Optional[float]
-    slope_h: float
-    slope_w: float
 
 
 SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
 
 
-def ttc_from_window(
-    window: Deque[Sample], size_window_len: int, slope_epsilon: float = SLOPE_EPSILON
-) -> Optional[TtcEstimate]:
+def ttc_from_window(window: Deque[Sample], size_window_len: int) -> Optional[TtcEstimate]:
     """TTC from the newest size_window_len samples, None while warming up."""
     if len(window) < size_window_len:
         return None
@@ -110,10 +104,9 @@ def ttc_from_window(
     # The fitted size and rate are most reliable at the window centroid;
     # the predicted closing time is then re-referenced to the newest sample.
     lead = ts[-1] - t_mean
-    ttc_h, ttc_w = [
-        None if abs(slope) < slope_epsilon else mean / slope - lead for slope, mean in fits
-    ]
-    return TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w, slope_h=fits[0][0], slope_w=fits[1][0])
+    return TtcEstimate(
+        *[None if abs(slope) < SLOPE_EPSILON else mean / slope - lead for slope, mean in fits]
+    )
 
 
 def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] = None) -> float:

@@ -334,8 +334,8 @@ def test_criterion_7_gps_conversion():
             assert abs((a[0] - b[0]) - 1.666 * (lat_a - lat_b)) <= 1e-12
             assert abs((a[1] - b[1]) - 1.666 * (lon_a - lon_b)) <= 1e-12
 
-        start = GpsFix(t=0.0, lat_raw=0, lon_raw=0, lat_wgs84=10.0, lon_wgs84=20.0)
-        end = GpsFix(t=3600.0, lat_raw=0, lon_raw=0, lat_wgs84=11.0, lon_wgs84=20.0)
+        start = GpsFix(t=0.0, lat=10.0, lon=20.0)
+        end = GpsFix(t=3600.0, lat=11.0, lon=20.0)
         v = speed_between(start, end)
         arc_speed = EARTH_RADIUS_M * math.radians(1.0) / 3600.0
         assert abs(v - arc_speed) / arc_speed <= 0.005
@@ -374,7 +374,7 @@ def test_criterion_8_event_record_contract():
             t=0.0, frame_id=0, kind="vehicle", confidence=1.0, box=(600, 340, 680, 400)
         )
         track = Track(1, det)
-        est = TtcEstimate(ttc_h=2.0, ttc_w=4.0, slope_h=5.0, slope_w=5.0)
+        est = TtcEstimate(ttc_h=2.0, ttc_w=4.0)
         omega = 0.0
         trigger_times = [
             k / 24.0

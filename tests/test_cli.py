@@ -482,6 +482,60 @@ class TestGpsCommand:
         geo = json.loads((out_dir / "events.geojson").read_text())
         assert geo["features"][0]["geometry"]["coordinates"] == [2.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            pytest.param('{"gps": null}', "expected a JSON array of events", id="not_array"),
+            pytest.param("[5]", "event 0: expected an object", id="int_entry"),
+            pytest.param(
+                '[{"gps": null}, {"gps": {"lat": "north", "lon": 1}}]',
+                "event 1: gps.lat: expected a finite number, got 'north'",
+                id="string_lat",
+            ),
+            *[
+                pytest.param(
+                    f'[{{"gps": {{"lat": 1.0, "lon": {literal}}}}}]',
+                    "event 0: gps.lon: expected a finite number",
+                    id=f"lon_{name}",
+                )
+                for literal, name in (
+                    (p, p) if isinstance(p, str) else (p.values[0], p.id) for p in NON_FINITE
+                )
+            ],
+        ],
+    )
+    def test_event_overlay_rejects_malformed_entries(self, workdir, capsys, events, message):
+        (workdir / "fixes.csv").write_text("t,lat_raw,lon_raw\n0,0,0\n")
+        (workdir / "events.json").write_text(events)
+        out_dir = workdir / "overlay"
+        code = run_cli(
+            "gps", str(workdir / "fixes.csv"), "--out-dir", str(out_dir),
+            "--events", str(workdir / "events.json"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()  # rejected before anything is written
+
+    def test_run_event_gps_feeds_overlay(self, workdir):
+        # an event's gps is the fix {lat, lon, t}, and `gps --events` maps it
+        detections, _ = simulate(workdir, "head_on")
+        csv = workdir / "fixes.csv"
+        csv.write_text("t,lat_raw,lon_raw\n0,28,-41\n0.5,28.001,-41.001\n")
+        assert run_cli(
+            "run", str(detections), "--gps", str(csv), "--out-dir", str(workdir / "r")
+        ) == 0
+        [event] = json.loads((workdir / "r" / "events.json").read_text())
+        assert set(event["gps"]) == {"lat", "lon", "t"}
+        assert event["gps"]["t"] == 0.5
+        assert run_cli(
+            "gps", str(csv), "--out-dir", str(workdir / "g"),
+            "--events", str(workdir / "r" / "events.json"),
+        ) == 0
+        [point] = json.loads((workdir / "g" / "events.geojson").read_text())["features"]
+        assert point["geometry"] == {
+            "type": "Point", "coordinates": [event["gps"]["lon"], event["gps"]["lat"]]
+        }
+
 
 class TestReportCommand:
     def test_renders_saved_report(self, workdir, capsys):

@@ -127,4 +127,4 @@ class TestLoadAndOverride:
         assert "rules.delta" in flags
         assert "tracker.confidence_min" in flags
         assert "gps.sample_period" in flags
-        assert len(flags) == 24
+        assert len(flags) == 23

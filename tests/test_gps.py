@@ -28,7 +28,7 @@ raw_lons = st.floats(-155.0, 55.0)
 
 
 def fix(t, lat, lon):
-    return GpsFix(t=t, lat_raw=0.0, lon_raw=0.0, lat_wgs84=lat, lon_wgs84=lon)
+    return GpsFix(t=t, lat=lat, lon=lon)
 
 
 class TestConversion:
@@ -71,16 +71,16 @@ class TestSampling:
     def test_keeps_every_third_fix_at_period_three(self):
         fixes = [fix(float(k), 10.0, 10.0) for k in range(10)]
         log = sample_trajectory(fixes, period=3.0)
-        assert [f.t for f in log.fixes] == [0.0, 3.0, 6.0, 9.0]
+        assert [f.t for f in log] == [0.0, 3.0, 6.0, 9.0]
 
     def test_single_fix(self):
         log = sample_trajectory([fix(1.0, 10.0, 10.0)], period=3.0)
-        assert len(log.fixes) == 1
+        assert len(log) == 1
 
     def test_gap_emits_next_fix_immediately(self):
         fixes = [fix(0.0, 10.0, 10.0), fix(1.0, 10.0, 10.0), fix(11.0, 10.0, 10.0)]
         log = sample_trajectory(fixes, period=3.0)
-        assert [f.t for f in log.fixes] == [0.0, 11.0]
+        assert [f.t for f in log] == [0.0, 11.0]
 
     def test_period_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -114,8 +114,10 @@ class TestSpeed:
 
     def test_trajectory_speeds_count(self):
         fixes = [fix(0.0, 10.0, 10.0), fix(3.0, 10.01, 10.0), fix(6.0, 10.02, 10.0)]
-        log = sample_trajectory(fixes, period=3.0)
-        assert len(log.speeds) == 2
+        out = io.StringIO()
+        write_trajectory_csv(sample_trajectory(fixes, period=3.0), out)
+        rows = out.getvalue().splitlines()[1:]
+        assert sum(row.rsplit(",", 1)[1] != "" for row in rows) == 2
 
 
 class TestIo:

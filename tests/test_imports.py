@@ -1,5 +1,7 @@
-"""Import footprint: the engine imports and runs without loading SciPy."""
+"""Import footprint: the engine imports and runs without loading SciPy, and
+`config` sits below the modules that read its sections."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +44,29 @@ def test_engine_run_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports, by name below `nearcrash`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "nearcrash"):
+            # from .x import y, from . import x, from nearcrash import x
+            relative_module = node.level and node.module
+            names.update([node.module] if relative_module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("nearcrash."):
+            names.add(node.module.removeprefix("nearcrash."))
+        elif isinstance(node, ast.Import):
+            names.update(
+                a.name.removeprefix("nearcrash.") for a in node.names
+                if a.name.startswith("nearcrash.")
+            )
+    return names
+
+
+def test_config_imports_only_gps_and_readers_need_no_type_checking():
+    package = Path(nearcrash.__file__).resolve().parent
+    config = ast.parse((package / "config.py").read_text(encoding="utf-8"))
+    assert _package_imports(config) <= {"gps"}
+    for name in ("rules.py", "ttc.py"):
+        assert "TYPE_CHECKING" not in (package / name).read_text(encoding="utf-8"), name

@@ -307,7 +307,7 @@ class TestOfflineRun:
         result = run(frames, cfg, gps_fixes=fixes)
         event = result.events[0]
         assert event.gps is not None
-        assert event.gps["t"] == 0.5  # most recent fix at trigger time ~0.7
+        assert event.gps.t == 0.5  # most recent fix at trigger time ~0.7
 
     def test_no_gps_gives_none(self):
         result = run_scenario(load_bundled_scenario("head_on"))

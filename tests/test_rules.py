@@ -21,7 +21,7 @@ CAM = CameraSpec(focal_px=1000, frame_width=1280, frame_height=720, fps=24)
 
 
 def ttc(h, w):
-    return TtcEstimate(ttc_h=h, ttc_w=w, slope_h=1.0, slope_w=1.0)
+    return TtcEstimate(ttc_h=h, ttc_w=w)
 
 
 class TestSizeRule:
@@ -171,7 +171,7 @@ class TestDecide:
     def test_never_triggers_outside_height_band(self, ttc_h, ttc_w, omega):
         # receding or distant targets can never trigger
         engine = RuleEngine(RuleConfig(delta=3.0, phi=6.75), CAM)
-        est = TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w, slope_h=1.0, slope_w=1.0)
+        est = TtcEstimate(ttc_h=ttc_h, ttc_w=ttc_w)
         decision = engine.decide(make_track(), est, omega, now=0.0)
         assert not decision.triggered
 

@@ -100,7 +100,6 @@ class TestTtcFromWindow:
         est = ttc_from_window(window, 12)
         assert est.ttc_h == pytest.approx(2.5, rel=0.05)
         assert est.ttc_w == pytest.approx(2.5, rel=0.05)
-        assert est.slope_h > 0
 
     def test_oracle_accuracy_across_range(self):
         # noise-free constant-velocity approaches, 12-sample windows at 24 fps
@@ -250,7 +249,6 @@ class TestFusedFitsEqualFitSlope:
             points = [(s.t, getattr(s, column)) for s in samples]
             assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
         est = ttc_from_window(window, n)
-        assert (est.slope_h, est.slope_w) == (fit_h.slope, fit_w.slope)
         assert (est.ttc_h, est.ttc_w) == (ttc(fit_h), ttc(fit_w))
 
     @settings(max_examples=100)
