@@ -256,10 +256,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(args.report, "r", encoding="utf-8") as fp:
             report = evaluation.EvalReport.from_dict(json.load(fp))
         if args.throughput is not None:
-            report = evaluation.make_report(
-                report.tp, report.fp, report.fn, report.n_videos, report.n_events,
-                _read_fps(args.throughput),
-            )
+            report = dataclasses.replace(report, fps=_read_fps(args.throughput))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,7 +100,14 @@ class EvalReport:
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalReport":
-        return read_record(EvalReport, obj)
+        """Read a saved report; its counts must hold and give its stored rates."""
+        rec = read_record(EvalReport, obj)
+        report = make_report(rec.tp, rec.fp, rec.fn, rec.n_videos, rec.n_events, rec.fps)
+        for name in ("precision", "recall", "f1"):
+            stored, counted = getattr(rec, name), getattr(report, name)
+            if not math.isclose(stored, counted, rel_tol=1e-9):
+                raise ValueError(f"{name}: stored {stored!r}, but the counts give {counted!r}")
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -114,14 +121,14 @@ def make_report(
     n_events: int,
     fps: Optional[float] = None,
 ) -> EvalReport:
-    if min(tp, fp, fn) < 0:
-        raise ValueError("counts must be >= 0")
+    counts = dict(n_videos=n_videos, n_events=n_events, tp=tp, fp=fp, fn=fn)
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name}: expected a count >= 0, got {count}")
+    if n_events != tp + fn:  # every ground-truth event is matched or missed
+        raise ValueError(f"n_events: {n_events} is not tp + fn = {tp + fn}")
     return EvalReport(
-        n_videos=n_videos,
-        n_events=n_events,
-        tp=tp,
-        fp=fp,
-        fn=fn,
+        **counts,
         precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
         recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
         f1=f1(tp, fp, fn),

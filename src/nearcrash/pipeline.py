@@ -2,8 +2,8 @@
 
 The loop owns tracker and rule state. For each frame it runs the
 tracker, passes the frame to the event recorder, and for every confirmed
-track runs the TTC fit, the motion fit (only where the size rule passes,
-or for annotations) and the rules, passing each trigger to the recorder.
+track runs the TTC fit and the size rule, then, where that passes or for
+annotations, the motion fit and the decision; triggers go to the recorder.
 The recorder owns the rest of an event record: the pre-event ring of
 frame ids, the GPS lookup and the event ids. It runs inline in the loop
 in both modes.
@@ -335,9 +335,10 @@ class _Processor:
         size_len, motion_fit, rules = self.size_window_len, self.motion_fit, self.engine.cfg
         for trk in tracks:
             est = ttc_from_window(trk.window, size_len)
-            # a trigger needs the size rule: fit ω only where it passes, or for annotations
-            fit_omega = annotations is not None or check_size_rule(est, rules)
-            omega = horizontal_motion(trk.window, *motion_fit) if fit_omega else None
+            # a trigger needs the size rule: unless annotating, a failing track-frame is done
+            if annotations is None and not check_size_rule(est, rules):
+                continue
+            omega = horizontal_motion(trk.window, *motion_fit)
             decision = self.engine.decide(trk, est, omega, frame.t)
             if annotations is not None:
                 annotations.append(TrackAnnotation(trk.id, trk.kind, trk.box(), **asdict(decision)))

@@ -8,13 +8,14 @@ the drift rate of the target across the frame.
 A window is a `deque` of `Sample` tuples, newest last, with positive sizes
 and strictly increasing times (the tracker guarantees both). Times are used
 as-is, so non-uniform frame intervals do not distort the slopes. Each fit
-transposes its newest samples once; height and width share one pass, with
-one t_mean and one centred sum of squares.
+transposes its newest samples once; height and width share one pass, and
+tracks with equal timestamps share one memoised time basis (`_time_basis`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,21 +46,24 @@ class RegressionResult:
     t_latest: float
 
 
-def _ols(ts: Sequence[float], *columns: Sequence[float]) -> Tuple[float, List[Tuple[float, float]]]:
-    """Least squares of each column on ts, sharing t_mean and sxx.
-
-    Returns t_mean and (slope, mean) per column; raises DegenerateFitError
-    for fewer than two samples or zero time variance.
-    """
+@lru_cache(maxsize=32)  # keyed by the exact timestamps; the tracks of a frame share a few
+def _time_basis(*ts: float) -> Tuple[float, Tuple[float, ...], float]:
+    """t_mean, the centred times and their sum of squares; a DegenerateFitError is not cached."""
     n = len(ts)
     if n < 2:
         raise DegenerateFitError(f"need >= 2 samples, got {n}")
     t_mean = sum(ts) / n
-    dts = [t - t_mean for t in ts]
+    dts = tuple([t - t_mean for t in ts])
     sxx = sum([d ** 2 for d in dts])
     if sxx == 0.0:
         raise DegenerateFitError("all samples share one timestamp")
-    means = [sum(vs) / n for vs in columns]
+    return t_mean, dts, sxx
+
+
+def _ols(ts: Sequence[float], *columns: Sequence[float]) -> Tuple[float, List[Tuple[float, float]]]:
+    """Least squares of each column on ts: t_mean and (slope, mean) per column."""
+    t_mean, dts, sxx = _time_basis(*ts)
+    means = [sum(vs) / len(ts) for vs in columns]
     return t_mean, [
         (sum([d * (v - m) for d, v in zip(dts, vs)]) / sxx, m) for vs, m in zip(columns, means)
     ]

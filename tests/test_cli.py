@@ -1,12 +1,15 @@
 """CLI tests: every subcommand exercised in-process through main()."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
 
 from nearcrash.cli import main
 from nearcrash.evaluation import make_report
+
+from test_evaluation import TAMPERED_REPORTS
 
 
 def run_cli(*argv):
@@ -550,6 +553,27 @@ class TestReportCommand:
 
     def test_missing_file_is_input_error(self, workdir):
         assert run_cli("report", str(workdir / "absent.json")) == 2
+
+    @pytest.mark.parametrize("changes, message", TAMPERED_REPORTS)
+    def test_inconsistent_report_is_input_error(self, workdir, capsys, changes, message):
+        report = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35).to_json())
+        report.update(changes)
+        (workdir / "r.json").write_text(json.dumps(report))
+        assert run_cli("report", str(workdir / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(message, captured.err.removeprefix("error: "))
+
+    def test_eval_report_round_trip(self, workdir, capsys):
+        preds = [{"video_id": "a", "time": t} for t in (1.0, 30.0, 60.0)]
+        truth = [{"video_id": "a", "time": t} for t in (2.0, 31.0, 90.0, 120.0)]
+        (workdir / "p.json").write_text(json.dumps(preds))
+        (workdir / "g.json").write_text(json.dumps(truth))
+        args = ("--predictions", "p.json", "--ground-truth", "g.json", "--out", "r.json")
+        assert run_cli("eval", *args) == 0
+        table = capsys.readouterr().out
+        assert run_cli("report", "r.json") == 0
+        assert capsys.readouterr().out == table
 
     def test_string_achieved_fps_is_input_error(self, workdir, capsys):
         report = make_report(34, 7, 1, n_videos=100, n_events=35)

@@ -163,8 +163,51 @@ class TestReport:
         assert (report.tp, report.fp, report.fn) == (1, 1, 1)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tp: expected a count >= 0, got -1$"):
             make_report(-1, 0, 0, n_videos=1, n_events=1)
+
+    def test_events_must_be_matched_or_missed(self):
+        with pytest.raises(ValueError, match=r"^n_events: 36 is not tp \+ fn = 35$"):
+            make_report(34, 7, 1, n_videos=100, n_events=36)
+
+
+# a saved report (as `eval --out` writes it) with one field changed, and the error it gives
+TAMPERED_REPORTS = [
+    pytest.param(
+        {"tp": -3, "precision": 5.0, "f1": 1.0}, r"^tp: expected a count >= 0, got -3$", id="tp"
+    ),
+    pytest.param({"fp": -1}, r"^fp: expected a count >= 0", id="fp"),
+    pytest.param({"fn": -1, "n_events": 33}, r"^fn: expected a count >= 0", id="fn"),
+    pytest.param({"n_videos": -1}, r"^n_videos: expected a count >= 0", id="n_videos"),
+    pytest.param({"n_events": -1}, r"^n_events: expected a count >= 0", id="n_events"),
+    pytest.param({"n_events": 36}, r"^n_events: 36 is not tp \+ fn = 35$", id="n_events-sum"),
+    pytest.param(
+        {"precision": 5.0}, r"^precision: stored 5\.0, but the counts give 0\.829", id="precision"
+    ),
+    pytest.param({"recall": 1.0}, r"^recall: stored 1\.0, but the counts give 0\.971", id="recall"),
+    pytest.param({"f1": 1.0}, r"^f1: stored 1\.0, but the counts give 0\.894", id="f1"),
+]
+
+
+class TestSavedReport:
+    """A saved report is read through make_report and must agree with its counts."""
+
+    @staticmethod
+    def saved(**changes):
+        obj = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0).to_json())
+        obj.update(changes)
+        return obj
+
+    @pytest.mark.parametrize("changes, message", TAMPERED_REPORTS)
+    def test_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            EvalReport.from_dict(self.saved(**changes))
+
+    def test_rates_from_another_formula_are_kept(self):
+        # 2pr / (p + r) may differ from 2tp / (2tp + fp + fn) in the last bits
+        p, r = 34 / 41, 34 / 35
+        report = EvalReport.from_dict(self.saved(f1=2 * p * r / (p + r)))
+        assert report == make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0)
 
 
 class TestEventsFromJson:

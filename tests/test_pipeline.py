@@ -17,10 +17,10 @@ from nearcrash.pipeline import (
     LatestFrameQueue,
     run,
 )
-from nearcrash.rules import NearCrashDecision
+from nearcrash.rules import NearCrashDecision, RuleEngine
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, label_ground_truth_events
 from nearcrash.streams import CameraSpec, FrameRecord
-from nearcrash.tracker import Track
+from nearcrash.tracker import Track, Tracker
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
 
@@ -357,7 +357,7 @@ FUNNEL_ACTORS = (
 
 
 class TestRuleFunnel:
-    """The motion fit runs only where the size rule passes, unless annotating."""
+    """The motion fit and the decision run only where the size rule passes, unless annotating."""
 
     @pytest.fixture
     def motion_fits(self, monkeypatch):
@@ -384,6 +384,49 @@ class TestRuleFunnel:
         motion_fits.clear()
         plain = run(frames, cfg)
         assert len(motion_fits) == size_pass
+        assert plain.events and [e.to_dict() for e in plain.events] == [
+            e.to_dict() for e in annotated.events
+        ]
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        # records each result of RuleEngine.decide, the tracer's target
+        results = []
+        decide = RuleEngine.decide
+
+        def recording(engine, *args):
+            results.append(decide(engine, *args))
+            return results[-1]
+
+        monkeypatch.setattr(RuleEngine, "decide", recording)
+        return results
+
+    @pytest.fixture
+    def confirmed(self, monkeypatch):
+        # counts the confirmed track-frames the tracker hands to the rules
+        counts = []
+        step = Tracker.step
+
+        def counting(tracker, frame):
+            tracks = step(tracker, frame)
+            counts.append(len(tracks))
+            return tracks
+
+        monkeypatch.setattr(Tracker, "step", counting)
+        return counts
+
+    def test_decide_calls(self, decisions, confirmed):
+        scenario = multi_actor_scenario(FUNNEL_ACTORS, noise=0.01, seed=3)
+        frames = generate_detections(scenario)
+        cfg = config_for_scenario(scenario)
+        annotated = run(frames, cfg, collect_annotations=True)
+        assert len(decisions) == sum(confirmed) > 0
+        size_pass = [d for d in decisions if d.size_rule_pass]
+        assert 0 < len(size_pass) < len(decisions)
+        decisions.clear()
+        plain = run(frames, cfg)
+        # the same decisions, in the same order, for exactly the size-pass track-frames
+        assert decisions == size_pass
         assert plain.events and [e.to_dict() for e in plain.events] == [
             e.to_dict() for e in annotated.events
         ]

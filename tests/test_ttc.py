@@ -15,6 +15,7 @@ from nearcrash.ttc import (
     Sample,
     fit_slope,
     horizontal_motion,
+    _time_basis,
     normalized_center,
     ttc_from_window,
 )
@@ -258,6 +259,93 @@ class TestFusedFitsEqualFitSlope:
         samples = list(window)[-n:]
         fit = fit_slope([(s.t, normalized_center(s.cx, BIG_CAMERA, c_los)) for s in samples])
         assert horizontal_motion(window, n, BIG_CAMERA, c_los) == fit.slope
+
+
+def epoch_clock(draw, n):
+    """n strictly increasing timestamps at epoch scale with non-uniform steps."""
+    t = draw(st.floats(1.6e9, 1.8e9))
+    times = []
+    for _ in range(n):
+        t += draw(st.floats(1e-3, 0.5))
+        times.append(t)
+    return times
+
+
+def sample_column(draw, n):
+    return [draw(st.floats(1.0, 800.0)) for _ in range(n)]
+
+
+@st.composite
+def windows_on_clocks(draw):
+    """Windows of 18 samples; several share each clock, so fits share time bases."""
+    clocks = [epoch_clock(draw, 18) for _ in range(draw(st.integers(1, 3)))]
+    windows = []
+    for _ in range(draw(st.integers(2, 6))):
+        times = draw(st.sampled_from(clocks))
+        h, w, cx = (sample_column(draw, 18) for _ in range(3))
+        windows.append(deque(map(Sample, times, h, w, cx, [0.0] * 18), maxlen=18))
+    return windows
+
+
+def reference_ttc(samples, column):
+    slope, t_mean, v_mean = reference_fit([(s.t, getattr(s, column)) for s in samples])
+    return None if abs(slope) < SLOPE_EPSILON else v_mean / slope - (samples[-1].t - t_mean)
+
+
+def reference_omega(samples):
+    return reference_fit([(s.t, normalized_center(s.cx, BIG_CAMERA)) for s in samples])[0]
+
+
+def check_fit(window, kind, n):
+    samples = list(window)[-n:]
+    if kind == "size":
+        est = ttc_from_window(window, n)
+        assert (est.ttc_h, est.ttc_w) == (reference_ttc(samples, "h"), reference_ttc(samples, "w"))
+    elif kind == "motion":
+        assert horizontal_motion(window, n, BIG_CAMERA) == reference_omega(samples)
+    else:
+        points = [(s.t, s.h) for s in samples]
+        fit = fit_slope(points)
+        assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
+
+
+class TestSharedTimeBasis:
+    """Fits that share a clock reuse one memoised time basis, bit for bit."""
+
+    @settings(max_examples=100)
+    @given(windows_on_clocks(), st.data())
+    def test_interleaved_fits_equal_the_reference(self, windows, data):
+        calls = st.tuples(
+            st.integers(0, len(windows) - 1),
+            st.sampled_from(["size", "motion", "fit_slope"]),
+            st.sampled_from([6, 18]),
+        )
+        for index, kind, n in data.draw(st.lists(calls, min_size=1, max_size=20)):
+            check_fit(windows[index], kind, n)
+
+    def test_more_clocks_than_the_cache_keeps(self):
+        # cycling through more clocks than the cache holds evicts every basis
+        # before it is used again; each fit must still equal the reference
+        n_clocks = 2 * _time_basis.cache_info().maxsize + 1
+        windows = [
+            deque(Sample(k + 0.01 * i + 0.001 * i * i, 100.0 + i * k, 50.0 + i, 10.0 * i, 0.0)
+                  for i in range(18))
+            for k in range(n_clocks)
+        ]
+        for _ in range(2):
+            for window in windows:
+                check_fit(window, "size", 18)
+                check_fit(window, "motion", 6)
+
+    def test_one_timestamp_raises_on_every_call(self):
+        window = deque(Sample(1.7e9, 100.0 + i, 50.0, 10.0 * i, 0.0) for i in range(18))
+        for _ in range(3):
+            with pytest.raises(DegenerateFitError):
+                ttc_from_window(window, 18)
+            with pytest.raises(DegenerateFitError):
+                horizontal_motion(window, 18, BIG_CAMERA)
+            with pytest.raises(DegenerateFitError):
+                fit_slope([(s.t, s.h) for s in window])
 
 
 @pytest.mark.parametrize("name", ["head_on", "cut_in", "jaywalking_pedestrian"])
