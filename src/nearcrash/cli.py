@@ -5,8 +5,8 @@ run (detection stream -> events/trajectory/throughput), eval (score
 predictions against ground truth), gps (convert and export trajectories),
 report (render a saved evaluation report).
 
-Exit codes: 0 success, 2 input error, 3 runtime error. A torn last stream
-line is warned about and counted as `torn_lines` in throughput.json.
+Exit codes: 0 success, 2 input error, 3 runtime error. `run` passes the
+stream to `pipeline.run` and writes what it returns, torn tail included.
 """
 
 from __future__ import annotations
@@ -42,21 +42,12 @@ def _add_override_flags(parser: argparse.ArgumentParser, section: Optional[str] 
         "(fields: nearcrash.config.DEFAULTS)",
     )
     for dotted in names:
-        group.add_argument(
-            f"--{dotted}",
-            dest=f"override__{dotted.replace('.', '__')}",
-            metavar="VALUE",
-            help=argparse.SUPPRESS,
-        )
+        group.add_argument(f"--{dotted}", metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key.startswith("override__") and value is not None:
-            dotted = key[len("override__"):].replace("__", ".")
-            overrides[dotted] = _parse_flag_value(value)
-    return overrides
+    given = {d: getattr(args, d, None) for d in config_mod.override_flags()}
+    return {d: _parse_flag_value(v) for d, v in given.items() if v is not None}
 
 
 def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
@@ -132,7 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         gps_warnings: List[str] = []
         if args.gps is not None:
             with open(args.gps, "r", encoding="utf-8") as fp:
-                fixes, gps_warnings = gps_mod.read_fix_csv(fp, cfg.gps.affine)
+                fixes, gps_warnings = gps_mod.read_fix_csv(fp, cfg.gps)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         stream_fp = sys.stdin if args.detections == "-" else open(
@@ -145,37 +136,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     for warning in gps_warnings:
         print(f"gps warning: {warning}", file=sys.stderr)
 
-    malformed: List[streams.StreamFormatError] = []
-    torn: List[streams.TornLineError] = []
-
-    def frames():
-        try:
-            yield from streams.read_detection_stream(stream_fp)
-        except streams.TornLineError as exc:
-            torn.append(exc)  # the stream ends before the torn line
-        except streams.StreamFormatError as exc:
-            malformed.append(exc)
-            raise
-
     # both modes read the stream lazily, so memory stays bounded offline
     try:
         result = pipeline.run(
-            frames(), cfg, gps_fixes=fixes, collect_annotations=args.debug_annotations
+            streams.read_detection_stream(stream_fp), cfg,
+            gps_fixes=fixes, collect_annotations=args.debug_annotations,
         )
     finally:
         if stream_fp is not sys.stdin:
             stream_fp.close()
     # offline, a malformed line is an input error and nothing is written;
     # live, it is a source failure that ends the run (exit 3 below)
-    if malformed and cfg.pipeline.mode == "offline":
-        print(f"error: {malformed[0]}", file=sys.stderr)
+    if isinstance(result.error, streams.StreamFormatError) and cfg.pipeline.mode == "offline":
+        print(f"error: {result.error}", file=sys.stderr)
         return 2
-    for exc in torn:
-        print(f"warning: torn last line ignored: {exc}", file=sys.stderr)
+    if result.torn_line is not None:
+        print(f"warning: torn last line ignored: {result.torn_line}", file=sys.stderr)
 
     _write_json(out_dir / "events.json", [e.to_dict() for e in result.events])
-    report = dataclasses.replace(result.report, torn_lines=len(torn))
-    _write_json(out_dir / "throughput.json", report.to_dict())
+    _write_json(out_dir / "throughput.json", result.report.to_dict())
     if fixes is not None:
         _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
     if result.annotations is not None:
@@ -189,8 +168,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"({result.report.frames_dropped} dropped), "
         f"{len(result.events)} events -> {out_dir}"
     )
-    if result.error:
-        print(f"error: {result.error}", file=sys.stderr)
+    if result.error is not None:
+        print(f"error: source error: {result.error}", file=sys.stderr)
         return 3
     return 0
 
@@ -227,7 +206,7 @@ def cmd_gps(args: argparse.Namespace) -> int:
     try:
         cfg = config_mod.load_config(args.config, _collect_overrides(args))
         with open(args.fixes, "r", encoding="utf-8") as fp:
-            fixes, warnings = gps_mod.read_fix_csv(fp, cfg.gps.affine)
+            fixes, warnings = gps_mod.read_fix_csv(fp, cfg.gps)
         overlay = None
         if args.events is not None:
             with open(args.events, "r", encoding="utf-8") as fp:

@@ -7,7 +7,8 @@ and a motion band of (-0.75, 0.05).
 
 Every section is a frozen dataclass declared here, `RuleConfig` included,
 so `rules` and `ttc` import their settings from this module, which imports
-no other package module but `gps`. Each field is declared once. The
+no other package module; `gps` re-exports its `GpsAffine`, the map that
+the GPS section extends. Each field is declared once. The
 declaration gives the default; the annotation gives the JSON type (an
 ``int`` rejects floats and booleans, a ``float`` takes a finite number,
 ints too but not booleans, NaN, infinities or ints beyond float range, a
@@ -33,8 +34,6 @@ from typing import (
     Any, Callable, Dict, List, Literal, Optional, get_args, get_origin, get_type_hints,
 )
 
-from .gps import SAMPLE_PERIOD_S, GpsAffine
-
 
 class ConfigError(ValueError):
     """A JSON record rejected: the engine config, a scenario spec, an eval
@@ -51,7 +50,7 @@ def _positive(default: float) -> Any:
     return setting(default, lambda v: v > 0, "must be > 0")
 
 
-def _at_least(default: Any, low: int) -> Any:
+def at_least(default: Any, low: int) -> Any:
     return setting(default, lambda v: v >= low, f"must be >= {low}")
 
 
@@ -76,14 +75,14 @@ class FrameGeometry:
 class TrackerParams:
     confidence_min: float = setting(0.4, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
     iou_min: float = setting(0.3, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
-    max_age: int = _at_least(5, 0)
-    min_hits: int = _at_least(3, 1)
+    max_age: int = at_least(5, 0)
+    min_hits: int = at_least(3, 1)
 
 
 @dataclass(frozen=True)
 class RegressionParams:
-    size_window_len: int = _at_least(12, 2)
-    center_window_len: int = _at_least(18, 2)
+    size_window_len: int = at_least(12, 2)
+    center_window_len: int = at_least(18, 2)
 
 
 @dataclass(frozen=True)
@@ -109,21 +108,34 @@ class PipelineParams:
     mode: Literal["offline", "live"] = "offline"
     # also the pre-event span of every event clip
     buffer_seconds: float = _positive(10.0)
-    # consumer throttle for load testing and deterministic drop simulation
-    process_min_interval: float = _at_least(0.0, 0)
 
 
 @dataclass(frozen=True)
-class GpsParams:
-    lat_scale: float = _nonzero(GpsAffine.lat_scale)
-    lat_offset: float = GpsAffine.lat_offset
-    lon_scale: float = _nonzero(GpsAffine.lon_scale)
-    lon_offset: float = GpsAffine.lon_offset
-    sample_period: float = _positive(SAMPLE_PERIOD_S)
+class GpsAffine:
+    """Per-axis linear map from device-native to WGS84 degrees.
 
-    @property
-    def affine(self) -> GpsAffine:
-        return GpsAffine(self.lat_scale, self.lat_offset, self.lon_scale, self.lon_offset)
+    The defaults match the receiver used in the field.
+    """
+
+    lat_scale: float = _nonzero(1.666)
+    lat_offset: float = -31.30174
+    lon_scale: float = _nonzero(1.666)
+    lon_offset: float = 81.25186
+
+    def invert(self) -> "GpsAffine":
+        return GpsAffine(
+            lat_scale=1.0 / self.lat_scale,
+            lat_offset=-self.lat_offset / self.lat_scale,
+            lon_scale=1.0 / self.lon_scale,
+            lon_offset=-self.lon_offset / self.lon_scale,
+        )
+
+
+@dataclass(frozen=True)
+class GpsParams(GpsAffine):
+    """The receiver's map and the trajectory sampling period, seconds."""
+
+    sample_period: float = _positive(3.0)
 
 
 @dataclass(frozen=True)
@@ -181,6 +193,7 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
 
     A field's key is its name, or ``metadata["key"]``; a missing key takes
     the field's default, and a field without one is reported missing.
+    A bound holds for every value but the null of an ``Optional`` field.
     Unknown keys, wrong types and broken bounds raise `ConfigError` with
     the path of the offending value.
     """
@@ -200,7 +213,7 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
                 raise ConfigError(f"{here}: missing")
             continue
         value = _typed(raw[key], kinds[f.name], here)
-        if "bound" in f.metadata:
+        if "bound" in f.metadata and value is not None:
             check, message = f.metadata["bound"]
             if not check(value):
                 raise ConfigError(f"{here}: {message}")

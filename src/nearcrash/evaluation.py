@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import read_record
+from .config import at_least, read_record
 
 DEFAULT_MATCH_WINDOW_S = 10.0
 
@@ -93,7 +93,7 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    fps: Optional[float] = None
+    fps: Optional[float] = at_least(None, 0)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,8 +1,9 @@
 """GPS fix ingestion, raw-to-WGS84 conversion, trajectory sampling, speeds.
 
 The receiver used in the field emits coordinates related to WGS84 by a
-fixed affine map; the default constants below match that device. Other
-receivers can supply their own scale/offset pairs.
+fixed affine map, `GpsAffine`, declared with the config's GPS section;
+its defaults match that device. Other receivers can supply their own
+scale/offset pairs: the config's `gps` section is such a map.
 """
 
 from __future__ import annotations
@@ -13,29 +14,13 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, List, Sequence, Tuple
 
+from .config import GpsAffine, GpsParams
+
 EARTH_RADIUS_M = 6_371_000.0
 
 
 class InvalidFixError(ValueError):
     """Conversion produced coordinates outside the valid WGS84 ranges."""
-
-
-@dataclass(frozen=True)
-class GpsAffine:
-    """Per-axis linear map from device-native to WGS84 degrees."""
-
-    lat_scale: float = 1.666
-    lat_offset: float = -31.30174
-    lon_scale: float = 1.666
-    lon_offset: float = 81.25186
-
-    def invert(self) -> "GpsAffine":
-        return GpsAffine(
-            lat_scale=1.0 / self.lat_scale,
-            lat_offset=-self.lat_offset / self.lat_scale,
-            lon_scale=1.0 / self.lon_scale,
-            lon_offset=-self.lon_offset / self.lon_scale,
-        )
 
 
 DEFAULT_AFFINE = GpsAffine()
@@ -90,11 +75,8 @@ def speed_between(a: GpsFix, b: GpsFix) -> float:
     return dist / (b.t - a.t)
 
 
-SAMPLE_PERIOD_S = 3.0
-
-
 def sample_trajectory(
-    fixes: Iterable[GpsFix], period: float = SAMPLE_PERIOD_S
+    fixes: Iterable[GpsFix], period: float = GpsParams.sample_period
 ) -> List[GpsFix]:
     """Keep the first fix, then the next fix at least `period` seconds later."""
     if period <= 0:

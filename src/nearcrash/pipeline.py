@@ -21,6 +21,8 @@ cannot stall detection.
 
 Frame timestamps always come from the source (capture time), never from
 processing time.
+A torn last line (`streams.TornLineError`) ends the source like its end
+would; `run` counts it and builds the whole `ThroughputReport`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .config import EngineConfig, PipelineParams
+from .config import EngineConfig, PipelineParams, at_least
 from .gps import GpsFix
 from .rules import NearCrashDecision, RuleEngine, check_size_rule, event_type_for
-from .streams import FrameRecord
+from .streams import FrameRecord, TornLineError
 from .tracker import NonMonotonicFrameError, Tracker
 from .ttc import horizontal_motion, ttc_from_window
 
@@ -285,14 +287,14 @@ class EventRecorder:
 
 @dataclass
 class ThroughputReport:
-    frames_produced: int = 0
-    frames_processed: int = 0
-    frames_dropped: int = 0
-    frames_rejected: int = 0
-    wall_seconds: float = 0.0
-    achieved_fps: float = 0.0
-    sink_failures: int = 0
-    torn_lines: int = 0  # torn stream tails dropped by the reader; the CLI counts them
+    frames_produced: int = at_least(0, 0)
+    frames_processed: int = at_least(0, 0)
+    frames_dropped: int = at_least(0, 0)
+    frames_rejected: int = at_least(0, 0)
+    wall_seconds: float = at_least(0.0, 0)
+    achieved_fps: float = at_least(0.0, 0)  # 0.0 when no time has passed
+    sink_failures: int = at_least(0, 0)
+    torn_lines: int = at_least(0, 0)  # torn stream tails that ended the source
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -303,7 +305,8 @@ class RunResult:
     events: List[NearCrashEvent]
     report: ThroughputReport
     annotations: Optional[List[FrameSummary]]
-    error: Optional[str] = None
+    error: Optional[Exception] = None  # the failure that ended the source
+    torn_line: Optional[TornLineError] = None  # the torn tail that ended it
 
 
 class _Processor:
@@ -351,20 +354,23 @@ class _Processor:
 
 
 class _Source:
-    """Iterates a frame source, counting its frames and keeping its failure."""
+    """Iterates a frame source, counting its frames and keeping what ended it."""
 
     def __init__(self, frames: Iterable[FrameRecord]):
         self.frames = frames
         self.produced = 0
-        self.error: Optional[str] = None
+        self.torn_line: Optional[TornLineError] = None
+        self.error: Optional[Exception] = None
 
     def __iter__(self):
         try:
             for frame in self.frames:
                 self.produced += 1
                 yield frame
+        except TornLineError as exc:
+            self.torn_line = exc
         except Exception as exc:
-            self.error = f"source error: {exc}"
+            self.error = exc
 
 
 def _produce(source: _Source, queue: LatestFrameQueue) -> None:
@@ -388,8 +394,9 @@ def run(
     """Run the engine over a frame source in the configured mode.
 
     on_frame, when given, is called by the processing loop after each
-    consumed frame (instrumentation hook). event_sink is called for each
-    finalized event: inline offline, on a worker thread in live mode.
+    consumed frame (instrumentation hook; a slow one acts as a slow
+    engine). event_sink is called for each finalized event: inline
+    offline, on a worker thread in live mode.
     """
     live = config.pipeline.mode == "live"
     frames = _Source(source)
@@ -397,7 +404,6 @@ def run(
         pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes
     )
     proc = _Processor(config, recorder, collect_annotations)
-    min_interval = config.pipeline.process_min_interval if live else 0.0
     start = time.monotonic()
     if live:
         queue = LatestFrameQueue()
@@ -410,14 +416,8 @@ def run(
         recorder.sink_executor = ThreadPoolExecutor(1, "nearcrash-sink")
     else:
         feed = frames
-    next_allowed = start
     try:
         for frame in feed:
-            if min_interval > 0:
-                now = time.monotonic()
-                if now < next_allowed:
-                    time.sleep(next_allowed - now)
-                next_allowed = max(next_allowed, now) + min_interval
             proc.process(frame)
             if on_frame is not None:
                 on_frame(frame)
@@ -441,10 +441,12 @@ def run(
         wall_seconds=wall,
         achieved_fps=proc.processed / wall if wall > 0 else 0.0,
         sink_failures=len(recorder.sink_failures),
+        torn_lines=int(frames.torn_line is not None),
     )
     return RunResult(
         events=recorder.events,
         report=report,
         annotations=proc.annotations,
         error=frames.error,
+        torn_line=frames.torn_line,
     )

@@ -270,9 +270,7 @@ def test_criterion_6_pipeline_concurrency_contract():
             assert queue.get() == next_id - 1
 
         # 30 fps producer against a 10 fps consumer for 3 seconds
-        cfg = build_config(
-            {"pipeline": {"mode": "live", "process_min_interval": 0.1}}
-        )
+        cfg = build_config({"pipeline": {"mode": "live"}})
         frames = [FrameRecord(frame_id=k, t=k / 30.0, detections=[]) for k in range(90)]
 
         def paced_source():
@@ -281,7 +279,12 @@ def test_criterion_6_pipeline_concurrency_contract():
                 time.sleep(1 / 30.0)
 
         consumed = []
-        result = run(paced_source(), cfg, on_frame=lambda f: consumed.append(f.frame_id))
+
+        def slow_consumer(frame):
+            consumed.append(frame.frame_id)
+            time.sleep(0.1)
+
+        result = run(paced_source(), cfg, on_frame=slow_consumer)
         report = result.report
         assert report.frames_produced == 90
         assert report.frames_processed + report.frames_dropped == 90

@@ -1,11 +1,14 @@
 """CLI tests: every subcommand exercised in-process through main()."""
 
+import functools
 import json
 import re
+import time
 from importlib import resources
 
 import pytest
 
+from nearcrash import pipeline
 from nearcrash.cli import main
 from nearcrash.evaluation import make_report
 
@@ -130,14 +133,15 @@ class TestRunAndEval:
         assert code == 0
         assert json.loads((out_dir / "events.json").read_text()) == []
 
-    def test_live_mode_with_slow_consumer_drops(self, workdir):
+    def test_live_mode_with_slow_consumer_drops(self, workdir, monkeypatch):
         detections, _ = simulate(workdir, "head_on")
         out_dir = workdir / "live"
+        slow = functools.partial(pipeline.run, on_frame=lambda frame: time.sleep(0.02))
+        monkeypatch.setattr(pipeline, "run", slow)
         code = run_cli(
             "run", str(detections),
             "--out-dir", str(out_dir),
             "--pipeline.mode", "live",
-            "--pipeline.process_min_interval", "0.02",
         )
         assert code == 0
         report = json.loads((out_dir / "throughput.json").read_text())
@@ -311,6 +315,25 @@ class TestRunAndEval:
         )
         assert code == 2
         assert "achieved_fps: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["report", "bad_report.json"], "fps"),
+            (["eval", "--predictions", "p.json", "--ground-truth", "p.json",
+              "--throughput", "bad_t.json"], "achieved_fps"),
+            (["report", "report.json", "--throughput", "bad_t.json"], "achieved_fps"),
+        ],
+        ids=["report", "eval_throughput", "report_throughput"],
+    )
+    def test_negative_frame_rate_is_rejected(self, workdir, capsys, argv, field):
+        report = make_report(tp=1, fp=0, fn=0, n_videos=1, n_events=1).to_dict()
+        (workdir / "report.json").write_text(json.dumps(report))
+        (workdir / "bad_report.json").write_text(json.dumps({**report, "fps": -5.0}))
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        (workdir / "bad_t.json").write_text('{"achieved_fps": -3.0}')
+        assert run_cli(*argv) == 2
+        assert f"{field}: must be >= 0" in capsys.readouterr().err
 
     def test_eval_takes_integer_achieved_fps(self, workdir, capsys):
         (workdir / "p.json").write_text('[{"time": 1.0}]')

@@ -30,7 +30,7 @@ class TestDefaults:
         assert cfg.regression.size_window_len == 12
         assert cfg.regression.center_window_len == 18
         assert cfg.pipeline.mode == "offline"
-        assert cfg.gps.affine.lat_offset == -31.30174
+        assert cfg.gps.lat_offset == -31.30174
         assert cfg.gps.sample_period == 3.0
 
     def test_window_capacity(self):
@@ -46,7 +46,8 @@ class TestDefaults:
     def test_defaults_are_the_declared_field_defaults(self):
         cfg = build_config()
         assert cfg == EngineConfig()
-        assert cfg.gps.affine == GpsAffine()
+        # the gps section is the receiver's map: its defaults are the map's
+        assert isinstance(cfg.gps, GpsAffine) and cfg.gps.invert() == GpsAffine().invert()
 
     def test_camera_is_frame_geometry_without_focal_length(self):
         camera = build_config({"camera": {"frame_width": 1000}}).camera
@@ -127,4 +128,4 @@ class TestLoadAndOverride:
         assert "rules.delta" in flags
         assert "tracker.confidence_min" in flags
         assert "gps.sample_period" in flags
-        assert len(flags) == 23
+        assert len(flags) == 22
