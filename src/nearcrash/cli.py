@@ -126,9 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 fixes, gps_warnings = gps_mod.read_fix_csv(fp, cfg.gps)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        stream_fp = sys.stdin if args.detections == "-" else open(
-            args.detections, "r", encoding="utf-8"
-        )
+        stream_fp = sys.stdin.buffer if args.detections == "-" else open(args.detections, "rb")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -143,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             gps_fixes=fixes, collect_annotations=args.debug_annotations,
         )
     finally:
-        if stream_fp is not sys.stdin:
+        if args.detections != "-":
             stream_fp.close()
     # offline, a malformed line is an input error and nothing is written;
     # live, it is a source failure that ends the run (exit 3 below)
@@ -184,16 +182,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predictions = _load_events_file(args.predictions)
         ground_truth = _load_events_file(args.ground_truth)
         fps = None if args.throughput is None else _read_fps(args.throughput)
+        report = evaluation.score(
+            predictions, ground_truth, window=args.window, n_videos=args.n_videos, fps=fps
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = evaluation.score(
-        predictions,
-        ground_truth,
-        window=args.window,
-        n_videos=args.n_videos,
-        fps=fps,
-    )
     print(evaluation.render_table(report))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fp:

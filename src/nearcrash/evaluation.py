@@ -41,6 +41,8 @@ def match_events(
     ground_truth: Sequence[ScoredEvent],
     window: float = DEFAULT_MATCH_WINDOW_S,
 ) -> MatchResult:
+    if not 0 <= window < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"window must be a finite number >= 0, got {window}")
     by_video: Dict[str, Tuple[List[ScoredEvent], List[ScoredEvent]]] = defaultdict(
         lambda: ([], [])
     )

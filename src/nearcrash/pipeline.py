@@ -1,9 +1,12 @@
 """Detection runtime: one processing loop for offline and live mode.
 
-The loop owns tracker and rule state. For each frame it runs the
-tracker, passes the frame to the event recorder, and for every confirmed
-track runs the TTC fit and the size rule, then, where that passes or for
-annotations, the motion fit and the decision; triggers go to the recorder.
+`run` is the one loop, and it owns tracker and rule state. For each
+frame it runs the tracker, passes the frame to the event recorder, and
+for every confirmed track runs the TTC fit and the size rule, then, where
+that passes or for annotations, the motion fit and the decision; triggers
+go to the recorder. A frame the tracker rejects as out of order is counted
+and never reaches the recorder. The `on_frame` hook runs after every
+consumed frame, rejected ones included.
 The recorder owns the rest of an event record: the pre-event ring of
 frame ids, the GPS lookup and the event ids. It runs inline in the loop
 in both modes.
@@ -105,17 +108,12 @@ class LatestFrameQueue:
 
 
 @dataclass(frozen=True)
-class TrackAnnotation:
+class TrackAnnotation(NearCrashDecision):
+    """A track-frame's decision with the track it was made for."""
+
     track_id: int
     kind: str
     box: Tuple[float, float, float, float]
-    ttc_h: Optional[float]
-    ttc_w: Optional[float]
-    omega: Optional[float]
-    size_rule_pass: bool
-    motion_rule_pass: bool
-    motion_product: float
-    triggered: bool
 
     def to_dict(self) -> dict:
         record = asdict(self)
@@ -309,50 +307,6 @@ class RunResult:
     torn_line: Optional[TornLineError] = None  # the torn tail that ended it
 
 
-class _Processor:
-    """Single owner of tracker and rule state."""
-
-    def __init__(
-        self, config: EngineConfig, recorder: EventRecorder, collect_annotations: bool
-    ):
-        self.tracker = Tracker(config.tracker, config.window_capacity)
-        self.engine = RuleEngine(config.rules, config.camera)
-        self.size_window_len = config.regression.size_window_len
-        self.motion_fit = (config.regression.center_window_len, config.camera, config.rules.c_los)
-        self.recorder = recorder
-        self.annotations: Optional[List[FrameSummary]] = (
-            [] if collect_annotations else None
-        )
-        self.processed = 0
-        self.rejected = 0
-        self.last_t: Optional[float] = None
-
-    def process(self, frame: FrameRecord) -> None:
-        try:
-            tracks = self.tracker.step(frame)
-        except NonMonotonicFrameError:
-            self.rejected += 1
-            return
-        self.recorder.on_frame(frame.frame_id, frame.t)
-        annotations = [] if self.annotations is not None else None
-        size_len, motion_fit, rules = self.size_window_len, self.motion_fit, self.engine.cfg
-        for trk in tracks:
-            est = ttc_from_window(trk.window, size_len)
-            # a trigger needs the size rule: unless annotating, a failing track-frame is done
-            if annotations is None and not check_size_rule(est, rules):
-                continue
-            omega = horizontal_motion(trk.window, *motion_fit)
-            decision = self.engine.decide(trk, est, omega, frame.t)
-            if annotations is not None:
-                annotations.append(TrackAnnotation(trk.id, trk.kind, trk.box(), **asdict(decision)))
-            if decision.triggered:
-                self.recorder.on_trigger(trk.id, trk.kind, frame.t, decision)
-        if annotations is not None:
-            self.annotations.append(FrameSummary(frame.frame_id, frame.t, tuple(annotations)))
-        self.processed += 1
-        self.last_t = frame.t
-
-
 class _Source:
     """Iterates a frame source, counting its frames and keeping what ended it."""
 
@@ -393,17 +347,23 @@ def run(
 ) -> RunResult:
     """Run the engine over a frame source in the configured mode.
 
-    on_frame, when given, is called by the processing loop after each
-    consumed frame (instrumentation hook; a slow one acts as a slow
-    engine). event_sink is called for each finalized event: inline
-    offline, on a worker thread in live mode.
+    on_frame, when given, is called by the processing loop after every
+    consumed frame, rejected ones included (instrumentation hook; a slow
+    one acts as a slow engine). event_sink is called for each finalized
+    event: inline offline, on a worker thread in live mode.
     """
     live = config.pipeline.mode == "live"
     frames = _Source(source)
     recorder = EventRecorder(
         pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes
     )
-    proc = _Processor(config, recorder, collect_annotations)
+    tracker = Tracker(config.tracker, config.window_capacity)
+    engine = RuleEngine(config.rules, config.camera)
+    size_len, rules = config.regression.size_window_len, config.rules
+    motion_fit = (config.regression.center_window_len, config.camera, rules.c_los)
+    annotations: Optional[List[FrameSummary]] = [] if collect_annotations else None
+    processed = rejected = 0
+    last_t: Optional[float] = None
     start = time.monotonic()
     if live:
         queue = LatestFrameQueue()
@@ -418,7 +378,30 @@ def run(
         feed = frames
     try:
         for frame in feed:
-            proc.process(frame)
+            try:
+                tracks = tracker.step(frame)
+            except NonMonotonicFrameError:
+                rejected += 1
+            else:
+                recorder.on_frame(frame.frame_id, frame.t)
+                annotated = [] if annotations is not None else None
+                for trk in tracks:
+                    est = ttc_from_window(trk.window, size_len)
+                    # a trigger needs the size rule: unless annotating, a failing one is done
+                    if annotated is None and not check_size_rule(est, rules):
+                        continue
+                    omega = horizontal_motion(trk.window, *motion_fit)
+                    decision = engine.decide(trk, est, omega, frame.t)
+                    if annotated is not None:
+                        annotated.append(TrackAnnotation(
+                            **asdict(decision), track_id=trk.id, kind=trk.kind, box=trk.box()
+                        ))
+                    if decision.triggered:
+                        recorder.on_trigger(trk.id, trk.kind, frame.t, decision)
+                if annotated is not None:
+                    annotations.append(FrameSummary(frame.frame_id, frame.t, tuple(annotated)))
+                processed += 1
+                last_t = frame.t
             if on_frame is not None:
                 on_frame(frame)
     finally:
@@ -428,25 +411,25 @@ def run(
             queue.close()
             producer.join()
         try:
-            recorder.finish(proc.last_t)
+            recorder.finish(last_t)
         finally:
             if recorder.sink_executor is not None:
                 recorder.sink_executor.shutdown()
     wall = time.monotonic() - start
     report = ThroughputReport(
         frames_produced=frames.produced,
-        frames_processed=proc.processed,
+        frames_processed=processed,
         frames_dropped=queue.dropped if live else 0,
-        frames_rejected=proc.rejected,
+        frames_rejected=rejected,
         wall_seconds=wall,
-        achieved_fps=proc.processed / wall if wall > 0 else 0.0,
+        achieved_fps=processed / wall if wall > 0 else 0.0,
         sink_failures=len(recorder.sink_failures),
         torn_lines=int(frames.torn_line is not None),
     )
     return RunResult(
         events=recorder.events,
         report=report,
-        annotations=proc.annotations,
+        annotations=annotations,
         error=frames.error,
         torn_line=frames.torn_line,
     )

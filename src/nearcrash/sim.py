@@ -184,8 +184,8 @@ def label_ground_truth_events(
     dropped to delta or below and its extrapolated lateral offset at
     closing falls inside the collision corridor.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"delta must be a finite number > 0, got {delta}")
     camera = scenario.camera
     n_frames = int(round(scenario.duration * camera.fps))
     labels = []

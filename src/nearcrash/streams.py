@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, List, Optional, Tuple
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 Box = Tuple[float, float, float, float]
 
@@ -122,9 +122,10 @@ def frame_to_json(frame: FrameRecord) -> str:
     )
 
 
-def frame_from_json(line: str, lineno: int = 0) -> FrameRecord:
+def frame_from_json(line: Union[str, bytes], lineno: int = 0) -> FrameRecord:
     try:
-        obj = json.loads(line)
+        # strict UTF-8: json.loads would also take a BOM or UTF-16 from bytes
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
         frame_id = obj["frame_id"]
         t = obj["t_seconds"]
         if type(frame_id) is not int:
@@ -159,27 +160,21 @@ def write_detection_stream(frames: Iterable[FrameRecord], fp: IO[str]) -> int:
     return n
 
 
-def read_detection_stream(fp: IO[str]) -> Iterator[FrameRecord]:
-    """Parse a JSON Lines detection stream, skipping blank lines.
+def read_detection_stream(fp: IO[bytes]) -> Iterator[FrameRecord]:
+    """Parse a binary JSON Lines detection stream, skipping blank lines.
 
-    Bytes that do not decode raise `StreamFormatError` naming the line
-    before them.
+    Each line is decoded on its own, so bytes that are not UTF-8 make
+    their own line malformed.
     """
-    lineno = 0
-    try:
-        for lineno, line in enumerate(fp, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                frame = frame_from_json(text, lineno)
-            except StreamFormatError as exc:
-                # only the last line of a stream can lack its newline
-                if line.endswith("\n"):
-                    raise
-                raise TornLineError(str(exc)) from exc
-            yield frame
-    except UnicodeDecodeError as exc:
-        # decoding is buffered: the failed chunk may hold whole lines not yet read
-        lineno += exc.object[:exc.start].count(b"\n")
-        raise StreamFormatError(f"after line {lineno}: not UTF-8") from exc
+    for lineno, line in enumerate(fp, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            frame = frame_from_json(text, lineno)
+        except StreamFormatError as exc:
+            # only the last line of a stream can lack its newline
+            if line.endswith(b"\n"):
+                raise
+            raise TornLineError(str(exc)) from exc
+        yield frame

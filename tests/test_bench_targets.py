@@ -1,16 +1,21 @@
-"""Every engine callable the benchmark tracer wraps still exists.
+"""The benchmark still runs against the engine.
 
 `perfbench/spans.py` replaces each `TARGETS` attribute by name while it
-traces a run. A deleted or renamed target fails only the benchmark's own
-suite, which cannot share a pytest run with this one, so this test loads
-the tracer module by file path and checks each target on its owner.
+traces a run. The benchmark's own suite cannot share a pytest run with
+this one, so one test loads the tracer module by file path and names each
+missing target, and another runs that suite in a subprocess, so an engine
+change that breaks the workload builder, the gates or the tracer fails here.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_tracer_target_is_defined_on_its_owner(monkeypatch):
@@ -24,3 +29,12 @@ def test_every_tracer_target_is_defined_on_its_owner(monkeypatch):
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+@pytest.mark.skipif(not SPANS.parent.is_dir(), reason="no perfbench/ in this checkout")
+def test_benchmark_suite_passes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -13,6 +13,7 @@ from nearcrash.cli import main
 from nearcrash.evaluation import make_report
 
 from test_evaluation import TAMPERED_REPORTS
+from test_pipeline import lockstep
 
 
 def run_cli(*argv):
@@ -229,17 +230,31 @@ class TestRunAndEval:
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("mode, code", [("offline", 2), ("live", 3)])
-    def test_undecodable_bytes_are_a_malformed_stream(self, workdir, capsys, mode, code):
+    def test_undecodable_bytes_are_a_malformed_stream(
+        self, workdir, capsys, monkeypatch, mode, code
+    ):
+        # the byte makes line 31 malformed; live keeps the 30 frames before it
         detections, _ = simulate(workdir, "head_on")
         lines = detections.read_bytes().splitlines(keepends=True)
         detections.write_bytes(b"".join(lines[:30]) + b"\xff" + b"".join(lines[30:]))
+        run = pipeline.run
+
+        def paced_run(source, cfg, **kwargs):  # no frame dropped, so the trigger is seen
+            source, step = lockstep(source)
+            return run(source, cfg, on_frame=step, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run", paced_run)
         out_dir = workdir / mode
         assert run_cli(
             "run", str(detections), "--out-dir", str(out_dir), "--pipeline.mode", mode
         ) == code
-        assert "after line 30: not UTF-8" in capsys.readouterr().err
+        assert "line 31: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         if mode == "offline":
             assert list(out_dir.iterdir()) == []
+        else:
+            report = json.loads((out_dir / "throughput.json").read_text())
+            assert report["frames_produced"] == report["frames_processed"] == 30
+            assert len(json.loads((out_dir / "events.json").read_text())) == 1
 
     @pytest.mark.parametrize("mode", ["offline", "live"])
     def test_torn_last_line_keeps_earlier_frames(self, workdir, capsys, mode):
@@ -379,6 +394,33 @@ class TestRunAndEval:
         )
         assert code == 2
         assert f"{workdir / 't.json'}: fps: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--window", "-5"], "window must be a finite number >= 0, got -5.0"),
+            (["eval", "--window", "nan"], "window must be a finite number >= 0, got nan"),
+            (["eval", "--n-videos", "-3"], "n_videos: expected a count >= 0, got -3"),
+            (
+                ["simulate", "builtin:head_on", "--delta", "nan"],
+                "delta must be a finite number > 0, got nan",
+            ),
+            (
+                ["simulate", "builtin:head_on", "--delta", "inf"],
+                "delta must be a finite number > 0, got inf",
+            ),
+        ],
+        ids=["negative_window", "nan_window", "negative_n_videos", "nan_delta", "infinite_delta"],
+    )
+    def test_bad_number_flag_is_an_input_error(self, workdir, capsys, argv, message):
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        files = {
+            "eval": ["--predictions", "p.json", "--ground-truth", "p.json"],
+            "simulate": ["--out-detections", "d.jsonl", "--out-labels", "l.json"],
+        }
+        assert run_cli(*argv, *files[argv[0]]) == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "d.jsonl").exists()
 
 
 class TestNonFiniteNumbers:

@@ -275,10 +275,17 @@ class TestOfflineRun:
         frames = generate_detections(scenario)
         corrupted = frames[:10] + [frames[4]] + frames[10:]
         cfg = config_for_scenario(scenario)
-        result = run(corrupted, cfg)
+        seen = []
+        result = run(corrupted, cfg, on_frame=lambda frame: seen.append(frame.frame_id))
         assert result.report.frames_rejected == 1
         assert result.report.frames_processed == 72
         assert result.error is None
+        # on_frame sees every consumed frame, the rejected one included
+        assert seen == [frame.frame_id for frame in corrupted]
+        # the rejected frame never reached the recorder
+        (event,) = result.events
+        assert 4 in event.frame_ids and 10 in event.frame_ids
+        assert all(a < b for a, b in zip(event.frame_ids, event.frame_ids[1:]))
 
     def test_source_error_partial_results(self):
         scenario = load_bundled_scenario("head_on")
@@ -561,7 +568,7 @@ def test_torn_last_line_ends_the_stream(mode):
     frames = generate_detections(scenario)
     text = io.StringIO()
     write_detection_stream(frames, text)
-    source, step = lockstep(read_detection_stream(io.StringIO(text.getvalue()[:-40])))
+    source, step = lockstep(read_detection_stream(io.BytesIO(text.getvalue()[:-40].encode())))
     cfg = config_for_scenario(scenario, **{"pipeline.mode": mode})
     result = run(source, cfg, on_frame=step)
     assert result.error is None

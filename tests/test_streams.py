@@ -23,7 +23,7 @@ def line(t=0.0, **edges) -> str:
     ids=["nan_t", "infinite_t", "infinite_box_edge"],
 )
 def test_non_finite_rejected_with_line_number(bad):
-    stream = io.StringIO(line(t=0.0) + "\n" + bad + "\n")
+    stream = io.BytesIO(f"{line(t=0.0)}\n{bad}\n".encode())
     with pytest.raises(StreamFormatError, match="line 2: non-finite"):
         list(read_detection_stream(stream))
 
@@ -34,24 +34,43 @@ def test_non_finite_rejected_with_line_number(bad):
     ids=["zero_width", "inverted"],
 )
 def test_degenerate_box_rejected_with_line_number(bad):
-    stream = io.StringIO(line(t=0.0) + "\n" + bad + "\n")
+    stream = io.BytesIO(f"{line(t=0.0)}\n{bad}\n".encode())
     with pytest.raises(StreamFormatError, match="line 2: degenerate box"):
         list(read_detection_stream(stream))
 
 
+@pytest.mark.parametrize(
+    "encoded",
+    [b"\xff" + line().encode(), b"\xef\xbb\xbf" + line().encode(), line().encode("utf-16-le")],
+    ids=["not_utf8", "utf8_bom", "utf16"],
+)
+def test_line_not_in_plain_utf8_rejected_with_its_line_number(encoded):
+    stream = io.BytesIO(line().encode() + b"\n" + encoded + b"\n")
+    with pytest.raises(StreamFormatError, match="line 2: "):
+        list(read_detection_stream(stream))
+
+
 def test_torn_last_line_is_told_apart():
-    frames = read_detection_stream(io.StringIO(line(t=0.0) + "\n" + line(t=0.1)[:-10]))
+    frames = read_detection_stream(io.BytesIO(f"{line(t=0.0)}\n{line(t=0.1)[:-10]}".encode()))
     assert next(frames).t == 0.0
     with pytest.raises(TornLineError, match="line 2"):
         next(frames)
 
 
+def test_write_cut_inside_a_multibyte_character_is_torn():
+    cut = line(t=0.1)[:-10].encode() + "é".encode()[:1]
+    frames = read_detection_stream(io.BytesIO(line(t=0.0).encode() + b"\n" + cut))
+    assert next(frames).t == 0.0
+    with pytest.raises(TornLineError, match="line 2: 'utf-8' codec"):
+        next(frames)
+
+
 def test_malformed_terminated_last_line_is_not_torn():
     with pytest.raises(StreamFormatError) as info:
-        list(read_detection_stream(io.StringIO(line(t=0.0)[:-10] + "\n")))
+        list(read_detection_stream(io.BytesIO(f"{line(t=0.0)[:-10]}\n".encode())))
     assert not isinstance(info.value, TornLineError)
 
 
 def test_complete_unterminated_last_line_parses():
-    stream = io.StringIO(line(t=0.0) + "\n" + line(t=0.1))
+    stream = io.BytesIO(f"{line(t=0.0)}\n{line(t=0.1)}".encode())
     assert [f.t for f in read_detection_stream(stream)] == [0.0, 0.1]
