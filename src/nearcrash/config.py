@@ -15,9 +15,9 @@ ints too but not booleans, NaN, infinities or ints beyond float range, a
 ``str`` takes only strings, an ``Optional`` also takes null, a
 ``Literal`` lists the allowed values, a ``Tuple[X, ...]`` reads an
 array and a dataclass a nested object); and ``setting(default, check,
-message)`` attaches a bound that the value must meet. ``DEFAULTS``, the
-override flags, the override check and the validation in
-``build_config`` are all read from those fields. Checks across fields
+message)`` attaches a bound that holds however the record is built.
+``DEFAULTS``, the override flags, the override check and the validation
+in ``build_config`` are all read from those fields. Checks across fields
 live in the section's ``__post_init__`` and are reported under the
 section name. `read_record` reads every JSON record of the package this
 way: the config, scenario specs (`sim`), eval reports and scored events
@@ -41,12 +41,29 @@ class ConfigError(ValueError):
     offending field path."""
 
 
+class BoundError(ValueError):
+    """A record built with a field outside its bound: ``<key>: <message>``."""
+
+
+class Checked:
+    """Base of the records whose `setting` bounds hold however they are built
+    (a null skips its bound). A subclass with checks of its own calls this
+    `__post_init__` first."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "bound" in f.metadata:
+                value, (check, message) = getattr(self, f.name), f.metadata["bound"]
+                if value is not None and not check(value):
+                    raise BoundError(f"{f.metadata.get('key', f.name)}: {message}")
+
+
 def setting(default: Any, check: Callable[[Any], bool], message: str) -> Any:
-    """A field with a default and a bound; `message` says what the bound is."""
+    """A field with a bound; `message` says what it is. `MISSING` makes it required."""
     return field(default=default, metadata={"bound": (check, message)})
 
 
-def _positive(default: float) -> Any:
+def positive(default: Any) -> Any:
     return setting(default, lambda v: v > 0, "must be > 0")
 
 
@@ -59,12 +76,12 @@ def _nonzero(default: float) -> Any:
 
 
 @dataclass(frozen=True)
-class FrameGeometry:
+class FrameGeometry(Checked):
     """Frame size and nominal rate: all the engine knows of the camera."""
 
-    frame_width: float = _positive(1280.0)
-    frame_height: float = _positive(720.0)
-    fps: float = _positive(24.0)
+    frame_width: float = positive(1280.0)
+    frame_height: float = positive(720.0)
+    fps: float = positive(24.0)
 
     @property
     def principal_x(self) -> float:
@@ -72,7 +89,7 @@ class FrameGeometry:
 
 
 @dataclass(frozen=True)
-class TrackerParams:
+class TrackerParams(Checked):
     confidence_min: float = setting(0.4, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
     iou_min: float = setting(0.3, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
     max_age: int = at_least(5, 0)
@@ -80,38 +97,37 @@ class TrackerParams:
 
 
 @dataclass(frozen=True)
-class RegressionParams:
+class RegressionParams(Checked):
     size_window_len: int = at_least(12, 2)
     center_window_len: int = at_least(18, 2)
 
 
 @dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Checked):
     delta: float = 3.0          # height-TTC threshold, seconds
     phi: float = 6.75           # width-TTC threshold, seconds
     alpha: float = -0.75        # motion-product lower bound
     beta: float = 0.05          # motion-product upper bound
     c_los: Optional[float] = None  # center line of sight; None -> principal_x
-    cooldown: float = 10.0      # per-track re-trigger suppression, seconds
+    cooldown: float = at_least(10.0, 0)  # per-track re-trigger suppression, seconds
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 < self.delta < self.phi):
             raise ValueError(f"need 0 < delta < phi, got delta={self.delta}, phi={self.phi}")
         if not (self.alpha < 0 < self.beta):
             raise ValueError(f"need alpha < 0 < beta, got alpha={self.alpha}, beta={self.beta}")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
 
 
 @dataclass(frozen=True)
-class PipelineParams:
+class PipelineParams(Checked):
     mode: Literal["offline", "live"] = "offline"
     # also the pre-event span of every event clip
-    buffer_seconds: float = _positive(10.0)
+    buffer_seconds: float = positive(10.0)
 
 
 @dataclass(frozen=True)
-class GpsAffine:
+class GpsAffine(Checked):
     """Per-axis linear map from device-native to WGS84 degrees.
 
     The defaults match the receiver used in the field.
@@ -135,7 +151,7 @@ class GpsAffine:
 class GpsParams(GpsAffine):
     """The receiver's map and the trajectory sampling period, seconds."""
 
-    sample_period: float = _positive(3.0)
+    sample_period: float = positive(3.0)
 
 
 @dataclass(frozen=True)
@@ -193,9 +209,8 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
 
     A field's key is its name, or ``metadata["key"]``; a missing key takes
     the field's default, and a field without one is reported missing.
-    A bound holds for every value but the null of an ``Optional`` field.
-    Unknown keys, wrong types and broken bounds raise `ConfigError` with
-    the path of the offending value.
+    Unknown keys, wrong types and broken bounds (a `BoundError` of the
+    built record) raise `ConfigError` with the path of the offending value.
     """
     where, prefix = (f"{path}: ", f"{path}.") if path else ("", "")
     if not isinstance(raw, dict):
@@ -212,14 +227,11 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{here}: missing")
             continue
-        value = _typed(raw[key], kinds[f.name], here)
-        if "bound" in f.metadata and value is not None:
-            check, message = f.metadata["bound"]
-            if not check(value):
-                raise ConfigError(f"{here}: {message}")
-        values[f.name] = value
+        values[f.name] = _typed(raw[key], kinds[f.name], here)
     try:
         return cls(**values)
+    except BoundError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from exc
 

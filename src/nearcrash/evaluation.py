@@ -10,22 +10,18 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import at_least, read_record
+from .config import Checked, at_least, read_record, setting
 
 DEFAULT_MATCH_WINDOW_S = 10.0
 
 
 @dataclass(frozen=True)
-class ScoredEvent:
+class ScoredEvent(Checked):
     video_id: str
-    time: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"event time must be finite and >= 0, got {self.time}")
+    time: float = setting(MISSING, lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ def f1(tp: int, fp: int, fn: int) -> float:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Checked):
     n_videos: int
     n_events: int
     tp: int

@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .config import EngineConfig, PipelineParams, at_least
+from .config import Checked, EngineConfig, PipelineParams, at_least
 from .gps import GpsFix
 from .rules import NearCrashDecision, RuleEngine, check_size_rule, event_type_for
 from .streams import FrameRecord, TornLineError
@@ -180,6 +182,9 @@ class NearCrashEvent:
         return asdict(self)
 
 
+_fix_time = attrgetter("t")
+
+
 class EventRecorder:
     """Builds near-crash event records with their context and location.
 
@@ -207,12 +212,11 @@ class EventRecorder:
         self.context = ContextBuffer(pre_seconds)
         self.post_seconds = post_seconds
         self.sink = sink
-        self.fixes = sorted(gps_fixes, key=lambda f: f.t) if gps_fixes else []
+        self.fixes = sorted(gps_fixes, key=_fix_time) if gps_fixes else []
         self.events: List[NearCrashEvent] = []
         self.sink_failures: List[str] = []
         self._pending: List[NearCrashEvent] = []
         self._stream_start: Optional[float] = None
-        self._fix_idx = -1
         self._next_event_id = 1
 
     def on_frame(self, frame_id: int, t: float) -> None:
@@ -263,9 +267,9 @@ class EventRecorder:
         self._pending = []
 
     def _latest_gps(self, t: float) -> Optional[GpsFix]:
-        while self._fix_idx + 1 < len(self.fixes) and self.fixes[self._fix_idx + 1].t <= t:
-            self._fix_idx += 1
-        return self.fixes[self._fix_idx] if self._fix_idx >= 0 else None
+        # the last fix at or before t; of fixes with equal times, the last given
+        i = bisect_right(self.fixes, t, key=_fix_time)
+        return self.fixes[i - 1] if i else None
 
     def _finalize(self, event: NearCrashEvent) -> None:
         self.events.append(event)
@@ -284,7 +288,7 @@ class EventRecorder:
 
 
 @dataclass
-class ThroughputReport:
+class ThroughputReport(Checked):
     frames_produced: int = at_least(0, 0)
     frames_processed: int = at_least(0, 0)
     frames_dropped: int = at_least(0, 0)

@@ -15,17 +15,17 @@ horizon sits at mid-frame).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import read_record
+from .config import Checked, at_least, positive, read_record
 from .streams import ROAD_USER_KINDS, CameraSpec, Detection, FrameRecord
 
 
 @dataclass(frozen=True)
-class ActorSpec:
+class ActorSpec(Checked):
     """One road user on a constant-velocity course.
 
     vel_longitudinal is the closing rate: positive means the gap to the
@@ -33,21 +33,18 @@ class ActorSpec:
     """
 
     kind: str = field(metadata={"key": "class"})
-    real_height: float
-    real_width: float
-    init_longitudinal: float
+    real_height: float = positive(MISSING)
+    real_width: float = positive(MISSING)
+    init_longitudinal: float = positive(MISSING)  # starts in front of the camera
     init_lateral: float = 0.0
     vel_longitudinal: float = 0.0
     vel_lateral: float = 0.0
     collision_half_width: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ROAD_USER_KINDS:
             raise ValueError(f"unknown actor class {self.kind!r}")
-        if self.real_height <= 0 or self.real_width <= 0:
-            raise ValueError("actor real dimensions must be > 0")
-        if self.init_longitudinal <= 0:
-            raise ValueError("actor must start in front of the camera")
 
     def distance(self, t: float) -> float:
         return self.init_longitudinal - self.vel_longitudinal * t
@@ -57,19 +54,16 @@ class ActorSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Checked):
     camera: CameraSpec
     actors: Tuple[ActorSpec, ...]
-    duration: float
-    bbox_noise_sigma: float = 0.0
+    duration: float = positive(MISSING)
+    bbox_noise_sigma: float = at_least(0.0, 0)
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "actors", tuple(self.actors))
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if self.bbox_noise_sigma < 0:
-            raise ValueError("bbox_noise_sigma must be >= 0")
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":

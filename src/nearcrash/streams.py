@@ -7,7 +7,8 @@ A detection stream is one JSON object per line, one line per frame:
                      "x1": 10.0, "y1": 20.0, "x2": 30.0, "y2": 40.0}]}
 
 The same format is produced by the scenario simulator and consumed by the
-pipeline, so external detectors only need to emit these lines.
+pipeline, so external detectors only need to emit these lines. Nothing is
+coerced: a class must be a string and the other detection values numbers.
 
 A last line that lacks its newline and does not parse was torn by a cut
 write: it raises `TornLineError`, so a caller can keep the frames before.
@@ -17,8 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+
+from .config import Checked, positive
 
 Box = Tuple[float, float, float, float]
 
@@ -34,26 +38,21 @@ class TornLineError(StreamFormatError):
 
 
 @dataclass(frozen=True)
-class CameraSpec:
+class CameraSpec(Checked):
     """Pinhole camera of the scenario simulator.
 
     The detection engine never sees a focal length: its camera section is
     the frame geometry alone (`config.FrameGeometry`).
     """
 
-    focal_px: float
-    frame_width: float
-    frame_height: float
-    fps: float
+    focal_px: float = positive(MISSING)
+    frame_width: float = positive(MISSING)
+    frame_height: float = positive(MISSING)
+    fps: float = positive(MISSING)
     principal_x: Optional[float] = None
 
     def __post_init__(self):
-        if self.focal_px <= 0:
-            raise ValueError(f"focal_px must be > 0, got {self.focal_px}")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise ValueError("frame dimensions must be > 0")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be > 0, got {self.fps}")
+        super().__post_init__()
         if self.principal_x is None:
             object.__setattr__(self, "principal_x", self.frame_width / 2.0)
 
@@ -122,6 +121,9 @@ def frame_to_json(frame: FrameRecord) -> str:
     )
 
 
+_NUMBER_KEYS = ("confidence", "x1", "y1", "x2", "y2")
+
+
 def frame_from_json(line: Union[str, bytes], lineno: int = 0) -> FrameRecord:
     try:
         # strict UTF-8: json.loads would also take a BOM or UTF-16 from bytes
@@ -135,17 +137,24 @@ def frame_from_json(line: Union[str, bytes], lineno: int = 0) -> FrameRecord:
         t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"non-finite t_seconds {t}")
-        dets = [
-            Detection(
-                t=t,
-                frame_id=frame_id,
-                kind=str(d["class"]),
-                confidence=float(d["confidence"]),
-                box=(float(d["x1"]), float(d["y1"]), float(d["x2"]), float(d["y2"])),
-            )
-            for d in obj["detections"]
-        ]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        dets = []
+        for i, d in enumerate(obj["detections"]):
+            kind = d["class"]
+            numbers = (d["confidence"], d["x1"], d["y1"], d["x2"], d["y2"])
+            c, x1, y1, x2, y2 = numbers
+            if type(kind) is not str:
+                raise ValueError(f"detections[{i}].class: expected a string, got {kind!r}")
+            if not (type(c) is type(x1) is type(y1) is type(x2) is type(y2) is float):
+                # config.read_record's number rule; a non-finite float is left to Detection
+                for key, v in zip(_NUMBER_KEYS, numbers):
+                    if not (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max):
+                        raise ValueError(
+                            f"detections[{i}].{key}: expected a finite number, got {v!r}"
+                        )
+                c, x1, y1, x2, y2 = map(float, numbers)
+            dets.append(Detection(t, frame_id, kind, c, (x1, y1, x2, y2)))
+    # OverflowError: a t_seconds integer beyond float range
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise StreamFormatError(f"line {lineno}: {exc}") from exc
     return FrameRecord(frame_id=frame_id, t=t, detections=dets)
 

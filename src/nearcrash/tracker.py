@@ -8,9 +8,10 @@ threshold are tracked; cross-class matches are never allowed.
 Prediction steps use the real inter-frame dt from the capture timestamps
 because frame intervals are not assumed uniform.
 
-A track's window is a bounded deque of its raw detection samples. A
-`Detection` has a positive-size box, and `step` rejects a frame not after
-the previous one and matches a track at most once, so times increase.
+A track's window is a bounded deque of its raw detection samples, each
+timed by its frame's clock. A `Detection` has a positive-size box, and
+`step` rejects a frame not after the previous one and matches a track at
+most once, so times increase.
 
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
@@ -148,7 +149,11 @@ class Track:
     """One persistent identity with filter state and a sample window."""
 
     def __init__(
-        self, track_id: int, detection: Detection, window_capacity: int = _WINDOW_CAPACITY
+        self,
+        track_id: int,
+        detection: Detection,
+        t: float,  # the frame's time
+        window_capacity: int = _WINDOW_CAPACITY,
     ):
         self.id = track_id
         self.kind = detection.kind
@@ -157,23 +162,23 @@ class Track:
         self.time_since_update = 0
         self.last_trigger: Optional[float] = None  # set by RuleEngine.decide
         self.window: Deque[Sample] = deque(maxlen=window_capacity)
-        self._append_sample(detection)
+        self._append_sample(detection, t)
 
     def predict(self, dt: float) -> Box:
         self.time_since_update += 1
         return self.kf.predict(dt)
 
-    def update(self, detection: Detection) -> None:
+    def update(self, detection: Detection, t: float) -> None:
         self.kf.update(detection.box)
         self.hits += 1
         self.time_since_update = 0
-        self._append_sample(detection)
+        self._append_sample(detection, t)
 
-    def _append_sample(self, det: Detection) -> None:
+    def _append_sample(self, det: Detection, t: float) -> None:
         # windows hold the raw detection measurements, not filter output,
         # so the regressions stay independent of filter tuning
         self.window.append(
-            Sample(t=det.t, h=det.height, w=det.width, cx=det.center_x, by=det.bottom_y)
+            Sample(t=t, h=det.height, w=det.width, cx=det.center_x, by=det.bottom_y)
         )
 
     def box(self) -> Box:
@@ -359,10 +364,10 @@ class Tracker:
             predicted, detections, self.params.iou_min, predicted_kinds=kinds
         )
         for ti, dj in matches:
-            self.tracks[ti].update(detections[dj])
+            self.tracks[ti].update(detections[dj], frame.t)
         for dj in unmatched_d:
             self.tracks.append(
-                Track(self._next_id, detections[dj], self.window_capacity)
+                Track(self._next_id, detections[dj], frame.t, self.window_capacity)
             )
             self._next_id += 1
 

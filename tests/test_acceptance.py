@@ -376,7 +376,7 @@ def test_criterion_8_event_record_contract():
         det = Detection(
             t=0.0, frame_id=0, kind="vehicle", confidence=1.0, box=(600, 340, 680, 400)
         )
-        track = Track(1, det)
+        track = Track(1, det, t=det.t)
         est = TtcEstimate(ttc_h=2.0, ttc_w=4.0)
         omega = 0.0
         trigger_times = [

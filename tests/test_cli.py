@@ -209,9 +209,10 @@ class TestRunAndEval:
             '"frame_id": true, "t_seconds": 0.1, "detections": []',
             '"frame_id": "7", "t_seconds": 0.1, "detections": []',
             '"frame_id": 1, "t_seconds": true, "detections": []',
+            '"frame_id": 1, "t_seconds": 1' + "0" * 400 + ', "detections": []',
         ],
         ids=["nan_t", "infinite_t", "infinite_box_edge", "float_frame_id", "bool_frame_id",
-             "string_frame_id", "bool_t"],
+             "string_frame_id", "bool_t", "overflowing_int_t"],
     )
     def test_non_finite_stream_value_is_input_error(self, workdir, capsys, bad):
         stream = workdir / "bad.jsonl"
@@ -219,6 +220,27 @@ class TestRunAndEval:
                           f'{{{bad}}}\n')
         assert run_cli("run", str(stream), "--out-dir", str(workdir / "x")) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"class": 3}, "class: expected a string, got 3"),
+            ({"confidence": "0.9"}, "confidence: expected a finite number, got '0.9'"),
+            ({"x1": "10"}, "x1: expected a finite number, got '10'"),
+            ({"x2": True}, "x2: expected a finite number, got True"),
+            ({"y2": 10**400}, "y2: expected a finite number, got 1000"),
+        ],
+        ids=["numeric_class", "string_confidence", "string_box_edge", "bool_box_edge",
+             "overflowing_int_box_edge"],
+    )
+    def test_detection_value_is_not_coerced(self, workdir, capsys, edit, message):
+        good = {"class": "vehicle", "confidence": 0.9, "x1": 10.0, "y1": 20.0, "x2": 30.0, "y2": 40.0}
+        frames = [{"frame_id": k, "t_seconds": k / 24, "detections": [good]} for k in range(2)]
+        frames.append({"frame_id": 2, "t_seconds": 2 / 24, "detections": [good, {**good, **edit}]})
+        stream = workdir / "bad.jsonl"
+        stream.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+        assert run_cli("run", str(stream), "--out-dir", str(workdir / "x")) == 2
+        assert f"error: line 3: detections[1].{message}" in capsys.readouterr().err
 
     def test_malformed_line_mid_stream_writes_nothing(self, workdir, capsys):
         detections, _ = simulate(workdir, "head_on")

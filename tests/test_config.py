@@ -1,18 +1,30 @@
 """Config loading, validation paths, and dotted overrides."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from nearcrash.config import (
+    Checked,
     ConfigError,
     EngineConfig,
     FrameGeometry,
+    GpsParams,
+    PipelineParams,
+    RegressionParams,
+    RuleConfig,
+    TrackerParams,
     build_config,
     load_config,
     override_flags,
+    read_record,
 )
+from nearcrash.evaluation import EvalReport, ScoredEvent, make_report
 from nearcrash.gps import GpsAffine
+from nearcrash.pipeline import ThroughputReport
+from nearcrash.sim import ActorSpec, ScenarioSpec
+from nearcrash.streams import CameraSpec
 
 
 class TestDefaults:
@@ -129,3 +141,93 @@ class TestLoadAndOverride:
         assert "tracker.confidence_min" in flags
         assert "gps.sample_period" in flags
         assert len(flags) == 22
+
+
+CAMERA = {"focal_px": 1000.0, "frame_width": 1280.0, "frame_height": 720.0, "fps": 24.0}
+ACTOR = {"class": "vehicle", "real_height": 1.5, "real_width": 1.8, "init_longitudinal": 30.0}
+# a valid JSON record of each record type on the `Checked` base
+VALID = {
+    CameraSpec: CAMERA,
+    ActorSpec: ACTOR,
+    ScenarioSpec: {"camera": CAMERA, "actors": [ACTOR], "duration": 3.0},
+    ScoredEvent: {"video_id": "a", "time": 1.0},
+    EvalReport: make_report(3, 1, 1, n_videos=2, n_events=4, fps=20.0).to_dict(),
+}
+# an out-of-bound value of every bounded field of every record on the base
+OUT_OF_BOUND = [
+    (FrameGeometry, "frame_width", 0.0),
+    (FrameGeometry, "frame_height", -1.0),
+    (FrameGeometry, "fps", 0.0),
+    (TrackerParams, "confidence_min", 2.0),
+    (TrackerParams, "iou_min", 1.0),
+    (TrackerParams, "max_age", -1),
+    (TrackerParams, "min_hits", 0),
+    (RegressionParams, "size_window_len", 1),
+    (RegressionParams, "center_window_len", 1),
+    (RuleConfig, "cooldown", -1.0),
+    (PipelineParams, "buffer_seconds", 0.0),
+    (GpsAffine, "lat_scale", 0),
+    (GpsAffine, "lon_scale", 0.0),
+    (GpsParams, "lat_scale", 0.0),
+    (GpsParams, "lon_scale", 0.0),
+    (GpsParams, "sample_period", 0.0),
+    (CameraSpec, "focal_px", 0.0),
+    (CameraSpec, "frame_width", 0.0),
+    (CameraSpec, "frame_height", -720.0),
+    (CameraSpec, "fps", 0.0),
+    (ActorSpec, "real_height", 0.0),
+    (ActorSpec, "real_width", -1.8),
+    (ActorSpec, "init_longitudinal", 0.0),
+    (ScenarioSpec, "duration", 0.0),
+    (ScenarioSpec, "bbox_noise_sigma", -0.01),
+    (ScoredEvent, "time", -1.0),
+    (EvalReport, "fps", -5.0),
+    *[(ThroughputReport, f.name, -1) for f in fields(ThroughputReport)],
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestBounds:
+    """A declared bound holds however a record is built."""
+
+    def test_every_bounded_field_is_covered(self):
+        bounded = {
+            (cls, f.name)
+            for cls in _subclasses(Checked)
+            for f in fields(cls)
+            if "bound" in f.metadata
+        }
+        assert bounded == {(cls, name) for cls, name, _ in OUT_OF_BOUND}
+
+    @pytest.mark.parametrize(
+        "cls, name, bad", OUT_OF_BOUND, ids=[f"{c.__name__}.{n}" for c, n, _ in OUT_OF_BOUND]
+    )
+    def test_built_directly_and_read_alike(self, cls, name, bad):
+        valid = VALID.get(cls, {})
+        with pytest.raises(ValueError, match=rf"^{name}: must be ") as direct:
+            replace(read_record(cls, valid), **{name: bad})
+        with pytest.raises(ConfigError) as read:
+            read_record(cls, {**valid, name: bad}, "record")
+        assert str(read.value) == f"record.{direct.value}"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_scored_event_time_is_finite(self, bad):
+        with pytest.raises(ValueError, match=r"^time: must be a finite number >= 0$"):
+            ScoredEvent("a", bad)
+
+    @pytest.mark.parametrize(
+        "section, name, bad, message",
+        [
+            ("camera", "frame_width", 0.0, "must be > 0"),
+            ("tracker", "max_age", -1, "must be >= 0"),
+            ("rules", "cooldown", -1.0, "must be >= 0"),
+        ],
+    )
+    def test_config_path_message(self, section, name, bad, message):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: {message}$"):
+            build_config({section: {name: bad}})

@@ -20,7 +20,9 @@ from nearcrash.pipeline import (
 )
 from nearcrash.rules import NearCrashDecision, RuleEngine
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, label_ground_truth_events
-from nearcrash.streams import CameraSpec, FrameRecord, read_detection_stream, write_detection_stream
+from nearcrash.streams import (
+    CameraSpec, Detection, FrameRecord, read_detection_stream, write_detection_stream,
+)
 from nearcrash.tracker import Track, Tracker
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
@@ -176,6 +178,16 @@ class TestEventRecorder:
         assert event.truncated
         assert event.clip_end == pytest.approx(29.9)
 
+    def test_gps_is_the_last_fix_at_or_before_the_trigger(self):
+        first, tied, last = GpsFix(0.0, 1.0, 1.0), GpsFix(2.0, 2.0, 2.0), GpsFix(2.0, 3.0, 3.0)
+        recorder = EventRecorder(gps_fixes=[tied, first, last])
+        for k, t in enumerate([-1.0, 0.0, 1.9, 2.0, 30.0]):
+            recorder.on_frame(k, t)
+            recorder.on_trigger(k, "vehicle", t, TRIGGER)
+        recorder.finish(30.0)
+        # of fixes with equal times, the last given
+        assert [e.gps for e in recorder.events] == [None, first, first, last, last]
+
 
 @given(
     fps=st.floats(5.0, 60.0),
@@ -229,6 +241,22 @@ class TestOfflineRun:
         assert event.event_type == "vehicle-vehicle"
         assert result.report.frames_dropped == 0
         assert result.report.frames_processed == 72
+
+    def test_window_times_come_from_the_frame(self):
+        def growing_box(det_t):
+            return [
+                FrameRecord(k, k / 24, [Detection(
+                    det_t(k), k, "vehicle", 1.0, (620.0 - 2 * k, 340.0 - k, 660.0 + 2 * k, 380.0 + k)
+                )])
+                for k in range(40)
+            ]
+
+        # detections whose own time is stale are fitted on their frame's clock
+        stale = run(growing_box(lambda k: 0.0), build_config(), collect_annotations=True)
+        timed = run(growing_box(lambda k: k / 24), build_config(), collect_annotations=True)
+        assert stale.report.frames_processed == 40
+        assert stale.annotations == timed.annotations
+        assert any(a.ttc_h is not None for s in timed.annotations for a in s.tracks)
 
     def test_empty_stream(self):
         cfg = build_config()

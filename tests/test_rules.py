@@ -110,7 +110,7 @@ def make_track(track_id=1, kind="vehicle", cx=640.0, by=400.0):
         t=0.0, frame_id=0, kind=kind, confidence=1.0,
         box=(cx - half_w, by - 2 * half_h, cx + half_w, by),
     )
-    return Track(track_id, det)
+    return Track(track_id, det, t=det.t)
 
 
 class TestDecide:

@@ -50,6 +50,13 @@ def test_line_not_in_plain_utf8_rejected_with_its_line_number(encoded):
         list(read_detection_stream(stream))
 
 
+def test_integer_detection_values_are_read_as_floats():
+    frame = frame_from_json(line(confidence=1, x1=10, y1=20, x2=30, y2=40))
+    det = frame.detections[0]
+    assert (det.confidence, det.box) == (1.0, (10.0, 20.0, 30.0, 40.0))
+    assert all(type(v) is float for v in (det.confidence, *det.box))
+
+
 def test_torn_last_line_is_told_apart():
     frames = read_detection_stream(io.BytesIO(f"{line(t=0.0)}\n{line(t=0.1)[:-10]}".encode()))
     assert next(frames).t == 0.0

@@ -50,25 +50,25 @@ class TestIou:
 
 class TestPredict:
     def test_zero_velocity_box_unchanged(self):
-        trk = Track(1, det((100, 100, 140, 180)))
+        trk = Track(1, det((100, 100, 140, 180)), t=0.0)
         before = trk.box()
         after = trk.predict(0.5)
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_center_velocity_shifts_center(self):
-        trk = Track(1, det((100, 100, 140, 180)))
+        trk = Track(1, det((100, 100, 140, 180)), t=0.0)
         trk.kf.x[4] = 10.0  # center-x velocity in px/s
         box = trk.predict(0.5)
         assert (box[0] + box[2]) / 2 == pytest.approx(125.0, abs=1e-9)
         assert (box[1] + box[3]) / 2 == pytest.approx(140.0, abs=1e-9)
 
     def test_zero_dt_is_identity(self):
-        trk = Track(1, det((100, 100, 140, 180)))
+        trk = Track(1, det((100, 100, 140, 180)), t=0.0)
         trk.kf.x[4] = 50.0
         assert trk.predict(0.0) == pytest.approx(trk.box(), abs=1e-12)
 
     def test_area_floored(self):
-        trk = Track(1, det((100, 100, 101, 101)))
+        trk = Track(1, det((100, 100, 101, 101)), t=0.0)
         trk.kf.x[6] = -100.0  # shrink area hard
         box = trk.predict(1.0)
         assert box[2] > box[0] and box[3] > box[1]
