@@ -9,19 +9,18 @@ Every section is a frozen dataclass declared here, `RuleConfig` included,
 so `rules` and `ttc` import their settings from this module, which imports
 no other package module; `gps` re-exports its `GpsAffine`, the map that
 the GPS section extends. Each field is declared once. The
-declaration gives the default; the annotation gives the JSON type (an
+declaration gives the default; the annotation gives the type (an
 ``int`` rejects floats and booleans, a ``float`` takes a finite number,
-ints too but not booleans, NaN, infinities or ints beyond float range, a
-``str`` takes only strings, an ``Optional`` also takes null, a
-``Literal`` lists the allowed values, a ``Tuple[X, ...]`` reads an
-array and a dataclass a nested object); and ``setting(default, check,
-message)`` attaches a bound that holds however the record is built.
-``DEFAULTS``, the override flags, the override check and the validation
-in ``build_config`` are all read from those fields. Checks across fields
-live in the section's ``__post_init__`` and are reported under the
-section name. `read_record` reads every JSON record of the package this
-way: the config, scenario specs (`sim`), eval reports and scored events
-(`evaluation`) and throughput files (`pipeline.ThroughputReport`).
+ints too, as floats, but not booleans, NaN, infinities or ints beyond
+float range, a ``str`` takes only strings, an ``Optional`` also takes
+None, a ``Literal`` lists the allowed values, a ``Tuple[X, ...]`` takes
+a tuple of X and a record field its record); and ``setting(default,
+check, message)`` attaches a bound. The `Checked` base checks the types,
+then the bounds, however a record is built. ``DEFAULTS``, the override
+flags and ``build_config`` are all read from those fields. Checks across
+fields live in the section's ``__post_init__`` and are reported under
+the section name. `read_record` reads every JSON record of the package
+and only shapes it: its keys, and an object or array into a record or tuple.
 """
 
 from __future__ import annotations
@@ -36,26 +35,59 @@ from typing import (
 
 
 class ConfigError(ValueError):
-    """A JSON record rejected: the engine config, a scenario spec, an eval
-    report, a scored event or a throughput file. The message carries the
-    offending field path."""
+    """A record rejected: a field of the wrong type or out of its bound, or a
+    JSON record of the wrong shape. The message carries the field path."""
 
 
-class BoundError(ValueError):
-    """A record built with a field outside its bound: ``<key>: <message>``."""
+# get_type_hints evaluates string annotations on every call; do it once a class
+_field_types = lru_cache(maxsize=None)(get_type_hints)
 
 
 class Checked:
-    """Base of the records whose `setting` bounds hold however they are built
-    (a null skips its bound). A subclass with checks of its own calls this
-    `__post_init__` first."""
+    """Base of the records whose annotated types, then `setting` bounds, are
+    checked however they are built (a None skips its bound). A subclass with
+    checks of its own calls this `__post_init__` first."""
 
     def __post_init__(self):
+        kinds = _field_types(type(self))
+        for f in fields(self):
+            typed = _typed(getattr(self, f.name), kinds[f.name], f.metadata.get("key", f.name))
+            object.__setattr__(self, f.name, typed)
         for f in fields(self):
             if "bound" in f.metadata:
                 value, (check, message) = getattr(self, f.name), f.metadata["bound"]
                 if value is not None and not check(value):
-                    raise BoundError(f"{f.metadata.get('key', f.name)}: {message}")
+                    raise ConfigError(f"{f.metadata.get('key', f.name)}: {message}")
+
+
+def finite_number(value: Any, path: str) -> float:
+    """`value` as a float if it is a finite int or float (numpy's too), not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # False for NaN too
+            return value if isinstance(value, float) else float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+_KINDS = {int: "an integer", str: "a string", tuple: "a tuple"}
+
+
+def _typed(value: Any, kind: Any, path: str) -> Any:
+    """Check a value against a field annotation; an int in a float field comes back a float."""
+    options = get_args(kind)
+    if get_origin(kind) is Literal:
+        if value in options:
+            return value
+        raise ConfigError(f"{path}: must be {' or '.join(map(repr, options))}")
+    if type(None) in options:  # Optional[X]
+        return None if value is None else _typed(value, options[0], path)
+    if kind is float:
+        return finite_number(value, path)
+    kind = get_origin(kind) or kind  # Tuple[X, ...] -> tuple
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{path}: expected {_KINDS.get(kind, kind.__name__)}, got {value!r}")
+    if kind is tuple:
+        return tuple(_typed(item, options[0], f"{path}[{i}]") for i, item in enumerate(value))
+    return value  # an int, a string or a record
 
 
 def setting(default: Any, check: Callable[[Any], bool], message: str) -> Any:
@@ -155,7 +187,7 @@ class GpsParams(GpsAffine):
 
 
 @dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Checked):
     camera: FrameGeometry = FrameGeometry()
     tracker: TrackerParams = TrackerParams()
     regression: RegressionParams = RegressionParams()
@@ -171,46 +203,24 @@ class EngineConfig:
 DEFAULTS: Dict[str, Dict[str, Any]] = asdict(EngineConfig())
 
 
-# get_type_hints evaluates string annotations on every call; do it once a class
-_field_types = lru_cache(maxsize=None)(get_type_hints)
-
-
-def _typed(value: Any, kind: Any, path: str) -> Any:
-    """Check a JSON value against a field annotation; numbers come back as float."""
-    options = get_args(kind)
-    if get_origin(kind) is Literal:
-        if value not in options:
-            raise ConfigError(f"{path}: must be {' or '.join(map(repr, options))}")
-        return value
-    if value is None and type(None) in options:
-        return None
-    if get_origin(kind) is tuple:  # Tuple[X, ...]
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected an array")
-        return tuple(_typed(item, options[0], f"{path}[{i}]") for i, item in enumerate(value))
+def _shaped(value: Any, kind: Any, path: str) -> Any:
+    """An object in a record field becomes its record, an array in a tuple field its tuple."""
     if is_dataclass(kind):
         return read_record(kind, value, path)
-    if kind is str:
-        if isinstance(value, str):
-            return value
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int:
-        if number and isinstance(value, int):
-            return value
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if number and abs(value) <= sys.float_info.max:  # False for NaN too
-        return float(value)
-    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if get_origin(kind) is not tuple:  # Tuple[X, ...]
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected an array")
+    return tuple(_shaped(v, get_args(kind)[0], f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def read_record(cls: type, raw: Any, path: str = "") -> Any:
-    """Build the dataclass `cls` from a JSON object, checked against its fields.
+    """Build the `Checked` record `cls` from a JSON object.
 
     A field's key is its name, or ``metadata["key"]``; a missing key takes
     the field's default, and a field without one is reported missing.
-    Unknown keys, wrong types and broken bounds (a `BoundError` of the
-    built record) raise `ConfigError` with the path of the offending value.
+    Unknown and missing keys and the record's own errors (its types and
+    bounds) raise `ConfigError` with the path of the offending value.
     """
     where, prefix = (f"{path}: ", f"{path}.") if path else ("", "")
     if not isinstance(raw, dict):
@@ -222,15 +232,13 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
     kinds = _field_types(cls)
     values = {}
     for key, f in declared.items():
-        here = prefix + key
-        if key not in raw:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{here}: missing")
-            continue
-        values[f.name] = _typed(raw[key], kinds[f.name], here)
+        if key in raw:
+            values[f.name] = _shaped(raw[key], kinds[f.name], prefix + key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{key}: missing")
     try:
         return cls(**values)
-    except BoundError as exc:
+    except ConfigError as exc:  # a field's own error: `<key>: ...`
         raise ConfigError(f"{prefix}{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from exc

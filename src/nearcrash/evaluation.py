@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import Checked, at_least, read_record, setting
+from .config import Checked, at_least, read_record
 
 DEFAULT_MATCH_WINDOW_S = 10.0
 
@@ -21,7 +21,7 @@ DEFAULT_MATCH_WINDOW_S = 10.0
 @dataclass(frozen=True)
 class ScoredEvent(Checked):
     video_id: str
-    time: float = setting(MISSING, lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
+    time: float = at_least(MISSING, 0)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, List, Sequence, Tuple
 
-from .config import GpsAffine, GpsParams
+from .config import GpsAffine, GpsParams, finite_number
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -163,9 +162,7 @@ def events_geojson(events: Any) -> dict:
         if not isinstance(gps, dict):
             raise ValueError(f"event {i}: gps: expected an object or null")
         for key in ("lat", "lon"):
-            value = gps.get(key)  # a JSON number, not a bool; abs(NaN) <= max is False
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"event {i}: gps.{key}: expected a finite number, got {value!r}")
+            finite_number(gps.get(key), f"event {i}: gps.{key}")
         features.append(
             {
                 "type": "Feature",

@@ -409,16 +409,17 @@ def run(
             if on_frame is not None:
                 on_frame(frame)
     finally:
-        # on a failure the producer stops at its next put() on the closed
-        # queue, and the recorder still finalizes every pending event
+        # on a failure the producer, a daemon thread, stops at its next put()
+        # on the closed queue; the recorder still finalizes every pending event
         if live:
             queue.close()
-            producer.join()
         try:
             recorder.finish(last_t)
         finally:
             if recorder.sink_executor is not None:
                 recorder.sink_executor.shutdown()
+    if live:
+        producer.join()  # it closed the queue that ended the loop, so it is done
     wall = time.monotonic() - start
     report = ThroughputReport(
         frames_produced=frames.produced,

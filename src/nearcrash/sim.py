@@ -59,11 +59,7 @@ class ScenarioSpec(Checked):
     actors: Tuple[ActorSpec, ...]
     duration: float = positive(MISSING)
     bbox_noise_sigma: float = at_least(0.0, 0)
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "actors", tuple(self.actors))
+    seed: int = at_least(0, 0)
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .config import Checked, positive
+from .config import Checked, finite_number, positive
 
 Box = Tuple[float, float, float, float]
 
@@ -144,14 +143,12 @@ def frame_from_json(line: Union[str, bytes], lineno: int = 0) -> FrameRecord:
             c, x1, y1, x2, y2 = numbers
             if type(kind) is not str:
                 raise ValueError(f"detections[{i}].class: expected a string, got {kind!r}")
+            # a float, even a non-finite one, is left to Detection
             if not (type(c) is type(x1) is type(y1) is type(x2) is type(y2) is float):
-                # config.read_record's number rule; a non-finite float is left to Detection
-                for key, v in zip(_NUMBER_KEYS, numbers):
-                    if not (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max):
-                        raise ValueError(
-                            f"detections[{i}].{key}: expected a finite number, got {v!r}"
-                        )
-                c, x1, y1, x2, y2 = map(float, numbers)
+                c, x1, y1, x2, y2 = (
+                    v if type(v) is float else finite_number(v, f"detections[{i}].{key}")
+                    for key, v in zip(_NUMBER_KEYS, numbers)
+                )
             dets.append(Detection(t, frame_id, kind, c, (x1, y1, x2, y2)))
     # OverflowError: a t_seconds integer beyond float range
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:

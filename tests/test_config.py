@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from nearcrash.config import (
@@ -180,10 +181,77 @@ OUT_OF_BOUND = [
     (ActorSpec, "init_longitudinal", 0.0),
     (ScenarioSpec, "duration", 0.0),
     (ScenarioSpec, "bbox_noise_sigma", -0.01),
+    (ScenarioSpec, "seed", -1),
     (ScoredEvent, "time", -1.0),
     (EvalReport, "fps", -5.0),
     *[(ThroughputReport, f.name, -1) for f in fields(ThroughputReport)],
 ]
+
+
+NAN, INF = float("nan"), float("inf")
+# a wrong-typed value of every field of every record on the base
+WRONG_TYPE = [
+    # accepted when built in code while only the JSON reader checked types
+    (PipelineParams, "mode", "batch"),
+    (RegressionParams, "size_window_len", 12.5),
+    (TrackerParams, "max_age", None),
+    (RuleConfig, "c_los", "640"),
+    (EngineConfig, "tracker", {"max_age": 3}),
+    # the rest
+    (FrameGeometry, "frame_width", "1280"),
+    (FrameGeometry, "frame_height", True),
+    (FrameGeometry, "fps", NAN),
+    (TrackerParams, "confidence_min", None),
+    (TrackerParams, "iou_min", "0.3"),
+    (TrackerParams, "min_hits", 3.0),
+    (RegressionParams, "center_window_len", False),
+    (RuleConfig, "delta", INF),
+    (RuleConfig, "phi", -INF),
+    (RuleConfig, "alpha", 10**400),
+    (RuleConfig, "beta", None),
+    (RuleConfig, "cooldown", "10"),
+    (PipelineParams, "buffer_seconds", [10.0]),
+    (GpsAffine, "lat_offset", "north"),
+    (GpsParams, "lon_offset", None),
+    (GpsParams, "sample_period", True),
+    *[(GpsParams, name, NAN) for name in ("lat_scale", "lat_offset", "lon_scale")],
+    *[(GpsAffine, name, "1") for name in ("lat_scale", "lon_scale", "lon_offset")],
+    (EngineConfig, "camera", CameraSpec(**CAMERA)),
+    (EngineConfig, "regression", None),
+    (EngineConfig, "rules", {"delta": 2.0}),
+    (EngineConfig, "pipeline", "live"),
+    (EngineConfig, "gps", GpsAffine()),
+    (CameraSpec, "focal_px", "1000"),
+    (CameraSpec, "frame_width", None),
+    (CameraSpec, "frame_height", True),
+    (CameraSpec, "fps", INF),
+    (CameraSpec, "principal_x", "640"),
+    (ActorSpec, "kind", 1),
+    (ActorSpec, "real_height", "1.5"),
+    (ActorSpec, "real_width", None),
+    (ActorSpec, "init_longitudinal", NAN),
+    (ActorSpec, "init_lateral", False),
+    (ActorSpec, "vel_longitudinal", "fast"),
+    (ActorSpec, "vel_lateral", INF),
+    (ActorSpec, "collision_half_width", None),
+    (ScenarioSpec, "camera", CAMERA),
+    (ScenarioSpec, "actors", [read_record(ActorSpec, ACTOR)]),
+    (ScenarioSpec, "duration", "3"),
+    (ScenarioSpec, "bbox_noise_sigma", None),
+    (ScenarioSpec, "seed", 1.0),
+    (ScoredEvent, "video_id", 7),
+    (ScoredEvent, "time", None),
+    *[(EvalReport, name, 1.0) for name in ("n_videos", "n_events", "tp")],
+    (EvalReport, "fp", True),
+    (EvalReport, "fn", "1"),
+    *[(EvalReport, name, NAN) for name in ("precision", "recall", "f1")],
+    (EvalReport, "fps", "20"),
+    *[(ThroughputReport, f.name, None) for f in fields(ThroughputReport)],
+]
+
+
+def _key(cls, name):
+    return next(f.metadata.get("key", name) for f in fields(cls) if f.name == name)
 
 
 def _subclasses(cls):
@@ -217,7 +285,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_scored_event_time_is_finite(self, bad):
-        with pytest.raises(ValueError, match=r"^time: must be a finite number >= 0$"):
+        with pytest.raises(ValueError, match=rf"^time: expected a finite number, got {bad}$"):
             ScoredEvent("a", bad)
 
     @pytest.mark.parametrize(
@@ -231,3 +299,52 @@ class TestBounds:
     def test_config_path_message(self, section, name, bad, message):
         with pytest.raises(ConfigError, match=rf"^{section}\.{name}: {message}$"):
             build_config({section: {name: bad}})
+
+
+class TestTypes:
+    """A field's annotated type holds however a record is built."""
+
+    def test_every_field_is_covered(self):
+        every = {(cls, f.name) for cls in _subclasses(Checked) for f in fields(cls)}
+        assert every == {(cls, name) for cls, name, _ in WRONG_TYPE}
+
+    @pytest.mark.parametrize(
+        "cls, name, bad", WRONG_TYPE, ids=[f"{c.__name__}.{n}" for c, n, _ in WRONG_TYPE]
+    )
+    def test_built_directly_and_read_alike(self, cls, name, bad):
+        valid, key = VALID.get(cls, {}), _key(cls, name)
+        record = read_record(cls, valid)
+        with pytest.raises(ValueError, match=rf"^{key}: ") as direct:
+            replace(record, **{name: bad})
+        # the reader shapes an object or array into a record or tuple field,
+        # and passes a value for any other field on as it is
+        if not isinstance(getattr(record, name), (Checked, tuple)):
+            with pytest.raises(ConfigError) as read:
+                read_record(cls, {**valid, key: bad}, "record")
+            assert str(read.value) == f"record.{direct.value}"
+
+    def test_messages(self):
+        with pytest.raises(ConfigError, match=r"^mode: must be 'offline' or 'live'$"):
+            PipelineParams(mode="batch")
+        with pytest.raises(ConfigError, match=r"^max_age: expected an integer, got None$"):
+            TrackerParams(max_age=None)
+        wrong = r"^tracker: expected TrackerParams, got \{'max_age': 3\}$"
+        with pytest.raises(ConfigError, match=wrong):
+            EngineConfig(tracker={"max_age": 3})
+        with pytest.raises(ConfigError, match=r"^actors: expected a tuple, got \[\]$"):
+            ScenarioSpec(CameraSpec(**CAMERA), [], duration=3.0)
+
+    def test_types_are_checked_before_bounds(self):
+        # a wrong type on a later field is reported before a bound on an earlier one
+        with pytest.raises(ConfigError, match=r"^max_age: expected an integer"):
+            TrackerParams(confidence_min=2.0, max_age="5")
+
+    def test_float_fields_take_numpy_floats_and_widen_ints(self):
+        actor = ActorSpec(
+            kind="vehicle", real_height=np.float64(1.5), real_width=1.8, init_longitudinal=30
+        )
+        assert type(actor.real_height) is np.float64
+        assert type(actor.init_longitudinal) is float and actor.init_longitudinal == 30.0
+        camera = CameraSpec(focal_px=1000, frame_width=1280, frame_height=720, fps=24)
+        assert camera == CameraSpec(**CAMERA) and type(camera.focal_px) is float
+        assert type(RuleConfig(c_los=640).c_los) is float

@@ -589,6 +589,37 @@ def test_failing_hook_ends_threads_and_flushes_pending_events(mode):
     assert len(sunk) == 1 and sunk[0].truncated
 
 
+def test_live_failure_does_not_wait_for_a_stalled_source():
+    scenario = load_bundled_scenario("head_on")
+    frames = generate_detections(scenario)
+    resume = threading.Event()
+
+    def stalling_source():  # a detector that hangs after two frames
+        yield from frames[:2]
+        resume.wait()
+        yield from frames[2:]
+
+    def hook(frame):
+        raise RuntimeError("hook failed")
+
+    cfg = config_for_scenario(scenario, **{"pipeline.mode": "live"})
+    raised = []
+
+    def call():
+        with pytest.raises(RuntimeError, match="hook failed"):
+            run(stalling_source(), cfg, on_frame=hook)
+        raised.append(True)
+
+    # run in a helper thread, so that a run waiting for the source fails the test
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=5)
+    stalled = caller.is_alive()
+    resume.set()
+    caller.join(timeout=5)
+    assert not stalled and raised == [True]
+
+
 @pytest.mark.parametrize("mode", ["offline", "live"])
 def test_torn_last_line_ends_the_stream(mode):
     # a recording cut mid-write: the last line lost its tail and its newline
