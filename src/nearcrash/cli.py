@@ -102,16 +102,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # all outputs are generated before anything is written
     with open(args.out_detections, "w", encoding="utf-8") as fp:
         streams.write_detection_stream(frames, fp)
-    label_objs = [
-        {
-            "video_id": args.video_id,
-            "time": lab.time,
-            "actor_index": lab.actor_index,
-            "class": lab.kind,
-        }
-        for lab in labels
-    ]
-    _write_json(Path(args.out_labels), label_objs)
+    _write_json(
+        Path(args.out_labels), [{"video_id": args.video_id, **lab.to_dict()} for lab in labels]
+    )
     print(f"wrote {len(frames)} frames, {len(labels)} ground-truth events")
     return 0
 
@@ -190,9 +183,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
     print(evaluation.render_table(report))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(report.to_json())
-            fp.write("\n")
+        _write_json(Path(args.out), report.to_dict())
     return 0
 
 

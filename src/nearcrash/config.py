@@ -20,14 +20,15 @@ then the bounds, however a record is built. ``DEFAULTS``, the override
 flags and ``build_config`` are all read from those fields. Checks across
 fields live in the section's ``__post_init__`` and are reported under
 the section name. `read_record` reads every JSON record of the package
-and only shapes it: its keys, and an object or array into a record or tuple.
+and only shapes it: its keys, and an object or array into a record or
+tuple. The `Record` base writes every one back under the same keys.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import (
     Any, Callable, Dict, List, Literal, Optional, get_args, get_origin, get_type_hints,
@@ -43,7 +44,28 @@ class ConfigError(ValueError):
 _field_types = lru_cache(maxsize=None)(get_type_hints)
 
 
-class Checked:
+def _json_key(f: Field) -> str:
+    """A record field's JSON key: its name, or ``metadata["key"]``."""
+    return f.metadata.get("key", f.name)
+
+
+def _written(value: Any) -> Any:
+    if is_dataclass(value):
+        return {_json_key(f): _written(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_written(v) for v in value]
+    return value
+
+
+class Record:
+    """Base of the dataclasses written as JSON: `to_dict` writes each field under
+    the key `read_record` reads, a dataclass as an object, a tuple as an array."""
+
+    def to_dict(self) -> dict:
+        return _written(self)
+
+
+class Checked(Record):
     """Base of the records whose annotated types, then `setting` bounds, are
     checked however they are built (a None skips its bound). A subclass with
     checks of its own calls this `__post_init__` first."""
@@ -51,13 +73,13 @@ class Checked:
     def __post_init__(self):
         kinds = _field_types(type(self))
         for f in fields(self):
-            typed = _typed(getattr(self, f.name), kinds[f.name], f.metadata.get("key", f.name))
+            typed = _typed(getattr(self, f.name), kinds[f.name], _json_key(f))
             object.__setattr__(self, f.name, typed)
         for f in fields(self):
             if "bound" in f.metadata:
                 value, (check, message) = getattr(self, f.name), f.metadata["bound"]
                 if value is not None and not check(value):
-                    raise ConfigError(f"{f.metadata.get('key', f.name)}: {message}")
+                    raise ConfigError(f"{_json_key(f)}: {message}")
 
 
 def finite_number(value: Any, path: str) -> float:
@@ -200,7 +222,7 @@ class EngineConfig(Checked):
         return max(self.regression.size_window_len, self.regression.center_window_len)
 
 
-DEFAULTS: Dict[str, Dict[str, Any]] = asdict(EngineConfig())
+DEFAULTS: Dict[str, Dict[str, Any]] = EngineConfig().to_dict()
 
 
 def _shaped(value: Any, kind: Any, path: str) -> Any:
@@ -225,7 +247,7 @@ def read_record(cls: type, raw: Any, path: str = "") -> Any:
     where, prefix = (f"{path}: ", f"{path}.") if path else ("", "")
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}expected an object")
-    declared = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    declared = {_json_key(f): f for f in fields(cls)}
     for key in raw:
         if key not in declared:
             raise ConfigError(f"{prefix}{key}: unknown field")

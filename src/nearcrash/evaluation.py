@@ -7,10 +7,9 @@ greedy by smallest time distance, so it does not depend on input order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Checked, at_least, read_record
@@ -93,9 +92,6 @@ class EvalReport(Checked):
     f1: float
     fps: Optional[float] = at_least(None, 0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(obj: dict) -> "EvalReport":
         """Read a saved report; its counts must hold and give its stored rates."""
@@ -106,9 +102,6 @@ class EvalReport(Checked):
             if not math.isclose(stored, counted, rel_tol=1e-9):
                 raise ValueError(f"{name}: stored {stored!r}, but the counts give {counted!r}")
         return report
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def make_report(

@@ -35,11 +35,11 @@ import time
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .config import Checked, EngineConfig, PipelineParams, at_least
+from .config import Checked, EngineConfig, PipelineParams, Record, at_least
 from .gps import GpsFix
 from .rules import NearCrashDecision, RuleEngine, check_size_rule, event_type_for
 from .streams import FrameRecord, TornLineError
@@ -114,28 +114,15 @@ class TrackAnnotation(NearCrashDecision):
     """A track-frame's decision with the track it was made for."""
 
     track_id: int
-    kind: str
+    kind: str = field(metadata={"key": "class"})
     box: Tuple[float, float, float, float]
-
-    def to_dict(self) -> dict:
-        record = asdict(self)
-        record["class"] = record.pop("kind")
-        record["box"] = list(self.box)
-        return record
 
 
 @dataclass(frozen=True)
-class FrameSummary:
+class FrameSummary(Record):
     frame_id: int
     t: float
     tracks: Tuple[TrackAnnotation, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "frame_id": self.frame_id,
-            "t": self.t,
-            "tracks": [a.to_dict() for a in self.tracks],
-        }
 
 
 class ContextBuffer:
@@ -162,7 +149,7 @@ class ContextBuffer:
 
 
 @dataclass
-class NearCrashEvent:
+class NearCrashEvent(Record):
     event_id: int
     track_id: int
     event_type: str
@@ -178,9 +165,6 @@ class NearCrashEvent:
     motion_rule_pass: bool
     motion_product: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _fix_time = attrgetter("t")
 
@@ -195,9 +179,10 @@ class EventRecorder:
     at its trigger and keeps accumulating frame ids until its post window
     elapses; a record whose post window runs past the end of the stream is
     cut at the last frame and flagged truncated by finish().
-    Persistence failures keep the event in memory and are reported at
-    shutdown. The sink runs in the calling thread, or on `sink_executor`
-    when one is set (live runs set it).
+    A sink failure keeps the event in memory; its message is kept in
+    `sink_failures` on the recorder, and `run` reports only their count,
+    as `ThroughputReport.sink_failures`. The sink runs in the calling
+    thread, or on `sink_executor` when one is set (live runs set it).
     """
 
     sink_executor: Optional[Executor] = None
@@ -297,9 +282,6 @@ class ThroughputReport(Checked):
     achieved_fps: float = at_least(0.0, 0)  # 0.0 when no time has passed
     sink_failures: int = at_least(0, 0)
     torn_lines: int = at_least(0, 0)  # torn stream tails that ended the source
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .config import FrameGeometry, RuleConfig
+from .config import FrameGeometry, Record, RuleConfig
 from .ttc import TtcEstimate, normalized_center
 
 
@@ -51,7 +51,7 @@ def check_motion_rule(
 
 
 @dataclass(frozen=True)
-class NearCrashDecision:
+class NearCrashDecision(Record):
     """One track-frame's rule inputs and outcome, as annotations and events record them."""
 
     triggered: bool

@@ -15,12 +15,12 @@ horizon sits at mid-frame).
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Checked, at_least, positive, read_record
+from .config import Checked, Record, at_least, positive, read_record
 from .streams import ROAD_USER_KINDS, CameraSpec, Detection, FrameRecord
 
 
@@ -68,6 +68,11 @@ class ScenarioSpec(Checked):
     @staticmethod
     def from_json(text: str) -> "ScenarioSpec":
         return ScenarioSpec.from_dict(json.loads(text))
+
+    def frame_times(self) -> List[float]:
+        """The capture time of frame k, k / fps, for each of round(duration * fps) frames."""
+        fps = self.camera.fps
+        return [k / fps for k in range(int(round(self.duration * fps)))]
 
 
 def project_actor(
@@ -122,10 +127,8 @@ def generate_detections(scenario: ScenarioSpec) -> List[FrameRecord]:
         raise ValueError("scenario has no actors")
     camera = scenario.camera
     rng = np.random.default_rng(scenario.seed)
-    n_frames = int(round(scenario.duration * camera.fps))
     frames = []
-    for k in range(n_frames):
-        t = k / camera.fps
+    for k, t in enumerate(scenario.frame_times()):
         dets = []
         for actor in scenario.actors:
             det = project_actor(actor, t, camera, frame_id=k)
@@ -153,16 +156,14 @@ def _perturb(det: Detection, sigma: float, camera: CameraSpec, rng) -> Optional[
     box = _clip_box((x1, y1, x2, y2), camera)
     if box is None or box[2] - box[0] < _MIN_BOX_EXTENT or box[3] - box[1] < _MIN_BOX_EXTENT:
         return None
-    return Detection(
-        t=det.t, frame_id=det.frame_id, kind=det.kind, confidence=1.0, box=box
-    )
+    return replace(det, box=box)
 
 
 @dataclass(frozen=True)
-class GroundTruthLabel:
+class GroundTruthLabel(Record):
     actor_index: int
     time: float
-    kind: str
+    kind: str = field(metadata={"key": "class"})
 
 
 def label_ground_truth_events(
@@ -176,12 +177,10 @@ def label_ground_truth_events(
     """
     if not 0 < delta < float("inf"):  # NaN fails both comparisons
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
-    camera = scenario.camera
-    n_frames = int(round(scenario.duration * camera.fps))
+    times = scenario.frame_times()
     labels = []
     for i, actor in enumerate(scenario.actors):
-        for k in range(n_frames):
-            t = k / camera.fps
+        for t in times:
             ttc = true_ttc(actor, t)
             if ttc is None or ttc > delta:
                 continue

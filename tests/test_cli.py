@@ -1,6 +1,7 @@
 """CLI tests: every subcommand exercised in-process through main()."""
 
 import functools
+import hashlib
 import json
 import re
 import time
@@ -12,6 +13,7 @@ from nearcrash import pipeline
 from nearcrash.cli import main
 from nearcrash.evaluation import make_report
 
+from conftest import load_bundled_scenario
 from test_evaluation import TAMPERED_REPORTS
 from test_pipeline import lockstep
 
@@ -98,6 +100,56 @@ class TestSimulate:
         first = d1.read_bytes()
         d2, _ = simulate(workdir, "cut_in")
         assert d2.read_bytes() == first
+
+
+# sha256 of (events.json, annotations.jsonl) for each bundled scenario, run
+# with --debug-annotations on its own frame size; a change that alters these
+# outputs on purpose updates the values and lists each one in CHANGES.md
+PINNED_OUTPUTS = {
+    "head_on": (
+        "d7872264d781ccbc3743173a54cd9694bb7a174d1b928918fbbc3a6e69ed578d",
+        "16828346f87550d42bacd0d4af10246fbedaca2bcdc7f7cdaffdbb7d45af8bbf",
+    ),
+    "cut_in": (
+        "1dc0a1a918511626a21968e36daee04c1f6dec1a615abff88906b2fa51dc1a35",
+        "29443bd759e7938103e65249c64acf30e7c3d79c525ce7e63df6f53435a041e4",
+    ),
+    "jaywalking_pedestrian": (
+        "6adfc5247766bf213435f72dc0b603e7d7565d352ccaeac72599275eaef9207e",
+        "bf9e284d4f7d2a4c9d1ad02f58ecf25219f29fa2a5a141df53fa4ca11502bbde",
+    ),
+    "adjacent_pass": (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "cc91649910249642ce7821453defa1d66617698e9b7811f8b7b77a11a616bc2c",
+    ),
+    "receding": (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "0b1d1be6b22304f0aa9d4373a34cf97f8a106a4ad281d97deaef1b3184d97cfe",
+    ),
+    "truncated_oncoming": (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "289ccae745ac8357f6fd33fc7ef9fd1321527fe40174807cda85576364348aa6",
+    ),
+}
+
+
+class TestBundledOutputs:
+    """A refactor keeps every bundled scenario's outputs byte for byte."""
+
+    @pytest.mark.parametrize("name", PINNED_OUTPUTS)
+    def test_outputs_match_pinned_digests(self, workdir, name):
+        detections, _ = simulate(workdir, name)
+        camera = load_bundled_scenario(name).camera
+        out_dir = workdir / "out"
+        code = run_cli(
+            "run", str(detections), "--out-dir", str(out_dir), "--debug-annotations",
+            "--camera.frame_width", str(camera.frame_width),
+            "--camera.frame_height", str(camera.frame_height),
+        )
+        assert code == 0
+        for file, pinned in zip(("events.json", "annotations.jsonl"), PINNED_OUTPUTS[name]):
+            digest = hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+            assert digest == pinned, f"{name}: {file} differs from its pinned output"
 
 
 class TestRunAndEval:
@@ -643,7 +695,7 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("changes, message", TAMPERED_REPORTS)
     def test_inconsistent_report_is_input_error(self, workdir, capsys, changes, message):
-        report = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35).to_json())
+        report = make_report(34, 7, 1, n_videos=100, n_events=35).to_dict()
         report.update(changes)
         (workdir / "r.json").write_text(json.dumps(report))
         assert run_cli("report", str(workdir / "r.json")) == 2
@@ -664,7 +716,7 @@ class TestReportCommand:
 
     def test_string_achieved_fps_is_input_error(self, workdir, capsys):
         report = make_report(34, 7, 1, n_videos=100, n_events=35)
-        (workdir / "r.json").write_text(report.to_json())
+        (workdir / "r.json").write_text(json.dumps(report.to_dict()))
         (workdir / "t.json").write_text('{"achieved_fps": "18"}')
         assert run_cli("report", str(workdir / "r.json"), "--throughput", str(workdir / "t.json")) == 2
         assert "achieved_fps" in capsys.readouterr().err

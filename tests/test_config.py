@@ -188,6 +188,17 @@ OUT_OF_BOUND = [
 ]
 
 
+# a record of every type that is written as JSON and read back, off the defaults
+WRITTEN = [
+    *(read_record(cls, raw) for cls, raw in VALID.items()),
+    build_config({"rules": {"c_los": 600.0}, "pipeline": {"mode": "live"}}),
+    FrameGeometry(frame_width=640.0, frame_height=480.0, fps=30.0),
+    TrackerParams(max_age=7, min_hits=2),
+    GpsParams(lat_offset=1.0, sample_period=2.0),
+    ThroughputReport(frames_produced=5, frames_processed=4, frames_dropped=1, achieved_fps=8.0),
+]
+
+
 NAN, INF = float("nan"), float("inf")
 # a wrong-typed value of every field of every record on the base
 WRONG_TYPE = [
@@ -348,3 +359,11 @@ class TestTypes:
         camera = CameraSpec(focal_px=1000, frame_width=1280, frame_height=720, fps=24)
         assert camera == CameraSpec(**CAMERA) and type(camera.focal_px) is float
         assert type(RuleConfig(c_los=640).c_los) is float
+
+
+class TestWrite:
+    """A record is written under the keys it is read from."""
+
+    @pytest.mark.parametrize("record", WRITTEN, ids=lambda r: type(r).__name__)
+    def test_round_trip(self, record):
+        assert read_record(type(record), json.loads(json.dumps(record.to_dict()))) == record

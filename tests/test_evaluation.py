@@ -138,11 +138,11 @@ class TestReport:
 
     def test_json_roundtrip(self):
         report = make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0)
-        again = EvalReport.from_dict(json.loads(report.to_json()))
+        again = EvalReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert again == report
 
     def test_from_dict_rejects_string_count(self):
-        obj = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35).to_json())
+        obj = make_report(34, 7, 1, n_videos=100, n_events=35).to_dict()
         obj["tp"] = "34"
         with pytest.raises(ConfigError, match=r"^tp: expected an integer"):
             EvalReport.from_dict(obj)
@@ -194,7 +194,7 @@ class TestSavedReport:
 
     @staticmethod
     def saved(**changes):
-        obj = json.loads(make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0).to_json())
+        obj = make_report(34, 7, 1, n_videos=100, n_events=35, fps=18.0).to_dict()
         obj.update(changes)
         return obj
 

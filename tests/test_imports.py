@@ -1,5 +1,5 @@
 """Import footprint: the engine imports and runs without loading SciPy, and
-`config` sits below the modules that read its sections."""
+`config` sits below the modules that read its sections and writes their records."""
 
 import ast
 import os
@@ -70,3 +70,14 @@ def test_config_imports_no_package_module_and_readers_need_no_type_checking():
     assert _package_imports(config) == set()
     for name in ("rules.py", "ttc.py"):
         assert "TYPE_CHECKING" not in (package / name).read_text(encoding="utf-8"), name
+
+
+def test_only_config_writes_records():
+    package = Path(nearcrash.__file__).resolve().parent
+    writers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "to_json")
+    }
+    assert writers == {"config.py"}
