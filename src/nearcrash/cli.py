@@ -15,13 +15,14 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import config as config_mod
 from . import evaluation, gps as gps_mod, pipeline, sim, streams
-from .config import ConfigError, RuleConfig
+from .config import ConfigError, RuleConfig, read_file, read_record
 
 
 def _parse_flag_value(text: str):
@@ -68,27 +69,18 @@ def _write_trajectory(
 
 
 def _read_fps(path: str) -> float:
-    with open(path, "r", encoding="utf-8") as fp:
-        raw = json.load(fp)
-    try:
-        return config_mod.read_record(pipeline.ThroughputReport, raw).achieved_fps
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return read_file(path, partial(read_record, pipeline.ThroughputReport)).achieved_fps
 
 
 def _load_scenario(spec_arg: str) -> sim.ScenarioSpec:
-    if spec_arg.startswith("builtin:"):
-        name = spec_arg[len("builtin:"):]
-        ref = resources.files("nearcrash").joinpath(f"scenarios/{name}.json")
-        if not ref.is_file():
-            raise ValueError(f"no bundled scenario named {name!r}")
-        text = ref.read_text(encoding="utf-8")
-    else:
-        text = Path(spec_arg).read_text(encoding="utf-8")
-    try:
-        return sim.ScenarioSpec.from_json(text)
-    except ValueError as exc:
-        raise ValueError(f"{spec_arg}: invalid scenario ({exc})") from exc
+    if not spec_arg.startswith("builtin:"):
+        return read_file(spec_arg, sim.ScenarioSpec.from_dict)
+    name = spec_arg[len("builtin:"):]
+    ref = resources.files("nearcrash").joinpath(f"scenarios/{name}.json")
+    if not ref.is_file():
+        raise ValueError(f"no bundled scenario named {name!r}")
+    with resources.as_file(ref) as path:
+        return read_file(path, sim.ScenarioSpec.from_dict)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -165,15 +157,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_events_file(path: str) -> List[evaluation.ScoredEvent]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return evaluation.events_from_json(json.load(fp))
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        predictions = _load_events_file(args.predictions)
-        ground_truth = _load_events_file(args.ground_truth)
+        predictions = read_file(args.predictions, evaluation.events_from_json)
+        ground_truth = read_file(args.ground_truth, evaluation.events_from_json)
         fps = None if args.throughput is None else _read_fps(args.throughput)
         report = evaluation.score(
             predictions, ground_truth, window=args.window, n_videos=args.n_videos, fps=fps
@@ -192,10 +179,7 @@ def cmd_gps(args: argparse.Namespace) -> int:
         cfg = config_mod.load_config(args.config, _collect_overrides(args))
         with open(args.fixes, "r", encoding="utf-8") as fp:
             fixes, warnings = gps_mod.read_fix_csv(fp, cfg.gps)
-        overlay = None
-        if args.events is not None:
-            with open(args.events, "r", encoding="utf-8") as fp:
-                overlay = gps_mod.events_geojson(json.load(fp))
+        overlay = None if args.events is None else read_file(args.events, gps_mod.events_geojson)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -217,8 +201,7 @@ def cmd_gps(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as fp:
-            report = evaluation.EvalReport.from_dict(json.load(fp))
+        report = read_file(args.report, evaluation.EvalReport.from_dict)
         if args.throughput is not None:
             report = dataclasses.replace(report, fps=_read_fps(args.throughput))
     except (OSError, ValueError) as exc:

@@ -19,9 +19,9 @@ check, message)`` attaches a bound. The `Checked` base checks the types,
 then the bounds, however a record is built. ``DEFAULTS``, the override
 flags and ``build_config`` are all read from those fields. Checks across
 fields live in the section's ``__post_init__`` and are reported under
-the section name. `read_record` reads every JSON record of the package
-and only shapes it: its keys, and an object or array into a record or
-tuple. The `Record` base writes every one back under the same keys.
+the section name. `read_file` reads every JSON file and `read_record`
+every JSON record, which it only shapes: its keys, and an object or array
+into a record or tuple; the `Record` base writes it back under those keys.
 """
 
 from __future__ import annotations
@@ -271,17 +271,28 @@ def build_config(user: Optional[dict] = None) -> EngineConfig:
     return read_record(EngineConfig, user or {})
 
 
+def read_file(path: Any, read: Callable[[Any], Any]) -> Any:
+    """`read(value)` of a UTF-8 JSON file; every error but an `OSError` names the file."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            value = json.load(fp)
+        except ValueError as exc:  # bad UTF-8 too
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("top level must be an object")
+    return value
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> EngineConfig:
     """Load a config file (optional) and apply dotted-path overrides."""
-    user: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fp:
-            try:
-                user = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+    user = {} if path is None else read_file(path, _object)
     flags = override_flags()
     for dotted, value in (overrides or {}).items():
         if dotted not in flags:

@@ -80,6 +80,14 @@ def f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
+def _rates(tp: int, fp: int, fn: int) -> Dict[str, float]:
+    return dict(
+        precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+        recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
+        f1=f1(tp, fp, fn),
+    )
+
+
 @dataclass(frozen=True)
 class EvalReport(Checked):
     n_videos: int
@@ -92,16 +100,24 @@ class EvalReport(Checked):
     f1: float
     fps: Optional[float] = at_least(None, 0)
 
-    @staticmethod
-    def from_dict(obj: dict) -> "EvalReport":
-        """Read a saved report; its counts must hold and give its stored rates."""
-        rec = read_record(EvalReport, obj)
-        report = make_report(rec.tp, rec.fp, rec.fn, rec.n_videos, rec.n_events, rec.fps)
-        for name in ("precision", "recall", "f1"):
-            stored, counted = getattr(rec, name), getattr(report, name)
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("n_videos", "n_events", "tp", "fp", "fn"):
+            count = getattr(self, name)
+            if count < 0:
+                raise ValueError(f"{name}: expected a count >= 0, got {count}")
+        if self.n_events != self.tp + self.fn:  # every ground-truth event is matched or missed
+            raise ValueError(f"n_events: {self.n_events} is not tp + fn = {self.tp + self.fn}")
+        for name, counted in _rates(self.tp, self.fp, self.fn).items():
+            stored = getattr(self, name)
             if not math.isclose(stored, counted, rel_tol=1e-9):
                 raise ValueError(f"{name}: stored {stored!r}, but the counts give {counted!r}")
-        return report
+
+    @staticmethod
+    def from_dict(obj: dict) -> "EvalReport":
+        """Read a saved report; its rates are recomputed from its counts."""
+        rec = read_record(EvalReport, obj)
+        return make_report(rec.tp, rec.fp, rec.fn, rec.n_videos, rec.n_events, rec.fps)
 
 
 def make_report(
@@ -112,19 +128,7 @@ def make_report(
     n_events: int,
     fps: Optional[float] = None,
 ) -> EvalReport:
-    counts = dict(n_videos=n_videos, n_events=n_events, tp=tp, fp=fp, fn=fn)
-    for name, count in counts.items():
-        if count < 0:
-            raise ValueError(f"{name}: expected a count >= 0, got {count}")
-    if n_events != tp + fn:  # every ground-truth event is matched or missed
-        raise ValueError(f"n_events: {n_events} is not tp + fn = {tp + fn}")
-    return EvalReport(
-        **counts,
-        precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
-        recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
-        f1=f1(tp, fp, fn),
-        fps=fps,
-    )
+    return EvalReport(n_videos, n_events, tp, fp, fn, **_rates(tp, fp, fn), fps=fps)
 
 
 def score(

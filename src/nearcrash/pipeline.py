@@ -180,8 +180,8 @@ class EventRecorder:
     elapses; a record whose post window runs past the end of the stream is
     cut at the last frame and flagged truncated by finish().
     A sink failure keeps the event in memory; its message is kept in
-    `sink_failures` on the recorder, and `run` reports only their count,
-    as `ThroughputReport.sink_failures`. The sink runs in the calling
+    `sink_failures`, which `run` returns as `RunResult.sink_failures` and
+    counts in `ThroughputReport.sink_failures`. The sink runs in the calling
     thread, or on `sink_executor` when one is set (live runs set it).
     """
 
@@ -289,6 +289,7 @@ class RunResult:
     events: List[NearCrashEvent]
     report: ThroughputReport
     annotations: Optional[List[FrameSummary]]
+    sink_failures: List[str]  # `event <id>: <error>` for each event the sink failed on
     error: Optional[Exception] = None  # the failure that ended the source
     torn_line: Optional[TornLineError] = None  # the torn tail that ended it
 
@@ -417,6 +418,7 @@ def run(
         events=recorder.events,
         report=report,
         annotations=annotations,
+        sink_failures=recorder.sink_failures,
         error=frames.error,
         torn_line=frames.torn_line,
     )

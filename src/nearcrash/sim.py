@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Checked, Record, at_least, positive, read_record
+from .config import Checked, Record, at_least, positive, read_record, setting
 from .streams import ROAD_USER_KINDS, CameraSpec, Detection, FrameRecord
 
 
@@ -56,7 +56,7 @@ class ActorSpec(Checked):
 @dataclass(frozen=True)
 class ScenarioSpec(Checked):
     camera: CameraSpec
-    actors: Tuple[ActorSpec, ...]
+    actors: Tuple[ActorSpec, ...] = setting(MISSING, bool, "must be non-empty")
     duration: float = positive(MISSING)
     bbox_noise_sigma: float = at_least(0.0, 0)
     seed: int = at_least(0, 0)
@@ -123,8 +123,6 @@ def generate_detections(scenario: ScenarioSpec) -> List[FrameRecord]:
     visible box dimension, drawn from a generator seeded by the scenario,
     so identical (scenario, seed) pairs produce identical streams.
     """
-    if not scenario.actors:
-        raise ValueError("scenario has no actors")
     camera = scenario.camera
     rng = np.random.default_rng(scenario.seed)
     frames = []

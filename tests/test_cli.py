@@ -547,6 +547,54 @@ class TestNonFiniteNumbers:
         assert not (workdir / "d.jsonl").exists()
 
 
+class TestJsonInputFiles:
+    """Every JSON input file is read by one reader, and its errors name the file."""
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        (workdir / "d.jsonl").write_text("")
+        (workdir / "fixes.csv").write_text("t,lat_raw,lon_raw\n0,0,0\n")
+        (workdir / "p.json").write_text('[{"time": 1.0}]')
+        (workdir / "t.json").write_text('{"achieved_fps": 24}')
+        report = make_report(tp=1, fp=0, fn=0, n_videos=1, n_events=1)
+        (workdir / "report.json").write_text(json.dumps(report.to_dict()))
+        return workdir
+
+    @pytest.mark.parametrize("content", [b"{bad", b'["\xff"]'], ids=["syntax", "not_utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "d.jsonl", "--out-dir", "out", "--config", "bad.json"],
+            ["simulate", "bad.json", "--out-detections", "o.jsonl", "--out-labels", "o.json"],
+            ["eval", "--predictions", "bad.json", "--ground-truth", "p.json"],
+            ["eval", "--predictions", "p.json", "--ground-truth", "bad.json"],
+            ["eval", "--predictions", "p.json", "--ground-truth", "p.json",
+             "--throughput", "bad.json"],
+            ["report", "bad.json"],
+            ["report", "report.json", "--throughput", "bad.json"],
+            ["gps", "fixes.csv", "--out-dir", "out", "--events", "bad.json"],
+        ],
+        ids=[
+            "config", "scenario", "predictions", "ground_truth", "eval_throughput", "report",
+            "report_throughput", "gps_events",
+        ],
+    )
+    def test_invalid_json_names_file(self, inputs, capsys, argv, content):
+        (inputs / "bad.json").write_bytes(content)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: bad.json: invalid JSON (")
+        assert not (inputs / "out").exists() and not (inputs / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "predictions, ground_truth", [("bad.json", "p.json"), ("p.json", "bad.json")]
+    )
+    def test_bad_event_names_its_file(self, inputs, capsys, predictions, ground_truth):
+        (inputs / "bad.json").write_text('[{"time": "x"}]')
+        assert run_cli("eval", "--predictions", predictions, "--ground-truth", ground_truth) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad.json: event 0: time: expected a finite number, got 'x'\n"
+
+
 class TestGpsCommand:
     def test_conversion_and_geojson(self, workdir, capsys):
         csv = workdir / "fixes.csv"
@@ -701,7 +749,7 @@ class TestReportCommand:
         assert run_cli("report", str(workdir / "r.json")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.match(message, captured.err.removeprefix("error: "))
+        assert re.match(message, captured.err.removeprefix(f"error: {workdir / 'r.json'}: "))
 
     def test_eval_report_round_trip(self, workdir, capsys):
         preds = [{"video_id": "a", "time": t} for t in (1.0, 30.0, 60.0)]

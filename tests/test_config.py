@@ -179,6 +179,7 @@ OUT_OF_BOUND = [
     (ActorSpec, "real_height", 0.0),
     (ActorSpec, "real_width", -1.8),
     (ActorSpec, "init_longitudinal", 0.0),
+    (ScenarioSpec, "actors", ()),
     (ScenarioSpec, "duration", 0.0),
     (ScenarioSpec, "bbox_noise_sigma", -0.01),
     (ScenarioSpec, "seed", -1),
@@ -290,8 +291,9 @@ class TestBounds:
         valid = VALID.get(cls, {})
         with pytest.raises(ValueError, match=rf"^{name}: must be ") as direct:
             replace(read_record(cls, valid), **{name: bad})
+        written = list(bad) if isinstance(bad, tuple) else bad  # a tuple is a JSON array
         with pytest.raises(ConfigError) as read:
-            read_record(cls, {**valid, name: bad}, "record")
+            read_record(cls, {**valid, name: written}, "record")
         assert str(read.value) == f"record.{direct.value}"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -203,6 +203,11 @@ class TestSavedReport:
         with pytest.raises(ValueError, match=message):
             EvalReport.from_dict(self.saved(**changes))
 
+    @pytest.mark.parametrize("changes, message", TAMPERED_REPORTS)
+    def test_rejected_when_built_directly(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            EvalReport(**self.saved(**changes))
+
     def test_rates_from_another_formula_are_kept(self):
         # 2pr / (p + r) may differ from 2tp / (2tp + fp + fn) in the last bits
         p, r = 34 / 41, 34 / 35

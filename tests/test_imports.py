@@ -1,5 +1,6 @@
 """Import footprint: the engine imports and runs without loading SciPy, and
-`config` sits below the modules that read its sections and writes their records."""
+`config` sits below the modules that read its sections, reads every JSON file and
+writes every record."""
 
 import ast
 import os
@@ -81,3 +82,15 @@ def test_only_config_writes_records():
         if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "to_json")
     }
     assert writers == {"config.py"}
+
+
+def test_only_config_reads_json_files():
+    package = Path(nearcrash.__file__).resolve().parent
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "load"
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    }
+    assert readers == {"config.py"}

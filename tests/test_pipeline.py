@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearcrash import pipeline
-from nearcrash.config import build_config
+from nearcrash.config import RuleConfig, build_config
 from nearcrash.gps import GpsFix
 from nearcrash.pipeline import (
     ContextBuffer,
@@ -26,6 +26,7 @@ from nearcrash.streams import (
 from nearcrash.tracker import Track, Tracker
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario
+from test_sim import BUNDLED
 
 
 class TestLatestFrameQueue:
@@ -495,6 +496,47 @@ def test_annotations_do_not_change_events(actors, noise, seed):
     assert [e.to_dict() for e in plain] == [e.to_dict() for e in annotated]
 
 
+def _unscaled(event, k):
+    """An event's time-dependent fields, taken back from a clock k times slower."""
+    def per_k(value, power):
+        return None if value is None else value * k**power
+
+    return (
+        event.track_id, event.event_type, event.size_rule_pass, event.motion_rule_pass,
+        per_k(event.trigger_time, -1), per_k(event.ttc_h, -1), per_k(event.ttc_w, -1),
+        per_k(event.motion_product, 1),
+    )
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 2.0, 3.0])
+def test_time_scale_invariance(k):
+    # a clock k times slower, with every rule threshold in seconds scaled by k
+    # and the motion band (per second) by 1 / k, triggers the same events
+    rules = RuleConfig()
+    scaled = {
+        "rules.delta": rules.delta * k, "rules.phi": rules.phi * k,
+        "rules.cooldown": rules.cooldown * k,
+        "rules.alpha": rules.alpha / k, "rules.beta": rules.beta / k,
+    }
+    n_events = 0
+    for name in BUNDLED:
+        scenario = load_bundled_scenario(name)
+        frames = generate_detections(scenario)
+        slow = [
+            FrameRecord(f.frame_id, f.t * k, [replace(d, t=d.t * k) for d in f.detections])
+            for f in frames
+        ]
+        expected = run(frames, config_for_scenario(scenario)).events
+        events = run(slow, config_for_scenario(scenario, **scaled)).events
+        assert len(events) == len(expected), name
+        for event, reference in zip(events, expected):
+            assert _unscaled(event, k) == pytest.approx(
+                _unscaled(reference, 1.0), rel=1e-12
+            ), name
+        n_events += len(events)
+    assert n_events >= 3
+
+
 def lockstep(frames):
     """A live source that yields each frame only once on_frame saw the last."""
     seen = threading.Semaphore(0)
@@ -568,6 +610,20 @@ def test_sink_thread(mode):
         assert sink_threads[0] is threading.current_thread()
     else:
         assert sink_threads[0].name.startswith("nearcrash-sink")
+
+
+@pytest.mark.parametrize("mode", ["offline", "live"])
+def test_sink_failure_message_is_returned(mode):
+    def full_disk(event):
+        raise OSError("disk full")
+
+    scenario = load_bundled_scenario("head_on")
+    source, step = lockstep(generate_detections(scenario))
+    cfg = config_for_scenario(scenario, **{"pipeline.mode": mode})
+    result = run(source, cfg, event_sink=full_disk, on_frame=step)
+    assert len(result.events) == 1
+    assert result.sink_failures == ["event 1: disk full"]
+    assert result.report.sink_failures == 1
 
 
 @pytest.mark.parametrize("mode", ["offline", "live"])

@@ -160,9 +160,8 @@ class TestGenerateDetections:
         assert a != b
 
     def test_rejects_empty_actor_list(self):
-        scenario = ScenarioSpec(camera=BIG_CAMERA, actors=(), duration=1.0)
-        with pytest.raises(ValueError):
-            generate_detections(scenario)
+        with pytest.raises(ValueError, match="^actors: must be non-empty$"):
+            ScenarioSpec(camera=BIG_CAMERA, actors=(), duration=1.0)
 
     def test_noise_is_fraction_of_dimension(self):
         scenario = one_actor_scenario(
