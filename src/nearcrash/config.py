@@ -155,6 +155,11 @@ class RegressionParams(Checked):
     size_window_len: int = at_least(12, 2)
     center_window_len: int = at_least(18, 2)
 
+    @property
+    def window_capacity(self) -> int:
+        """The samples a track keeps: enough for both fits."""
+        return max(self.size_window_len, self.center_window_len)
+
 
 @dataclass(frozen=True)
 class RuleConfig(Checked):
@@ -216,10 +221,6 @@ class EngineConfig(Checked):
     rules: RuleConfig = RuleConfig()
     pipeline: PipelineParams = PipelineParams()
     gps: GpsParams = GpsParams()
-
-    @property
-    def window_capacity(self) -> int:
-        return max(self.regression.size_window_len, self.regression.center_window_len)
 
 
 DEFAULTS: Dict[str, Dict[str, Any]] = EngineConfig().to_dict()

@@ -4,9 +4,10 @@
 frame it runs the tracker, passes the frame to the event recorder, and
 for every confirmed track runs the TTC fit and the size rule, then, where
 that passes or for annotations, the motion fit and the decision; triggers
-go to the recorder. A frame the tracker rejects as out of order is counted
-and never reaches the recorder. The `on_frame` hook runs after every
-consumed frame, rejected ones included.
+go to the recorder. A frame the tracker rejects, its time not finite or
+not after the previous frame's, is counted and never reaches the recorder.
+The `on_frame` hook runs after every consumed frame, rejected ones
+included.
 The recorder owns the rest of an event record: the pre-event ring of
 frame ids, the GPS lookup and the event ids. It runs inline in the loop
 in both modes.
@@ -344,7 +345,7 @@ def run(
     recorder = EventRecorder(
         pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes
     )
-    tracker = Tracker(config.tracker, config.window_capacity)
+    tracker = Tracker(config.tracker, config.regression)
     engine = RuleEngine(config.rules, config.camera)
     size_len, rules = config.regression.size_window_len, config.rules
     motion_fit = (config.regression.center_window_len, config.camera, rules.c_los)

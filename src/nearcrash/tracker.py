@@ -8,10 +8,12 @@ threshold are tracked; cross-class matches are never allowed.
 Prediction steps use the real inter-frame dt from the capture timestamps
 because frame intervals are not assumed uniform.
 
-A track's window is a bounded deque of its raw detection samples, each
-timed by its frame's clock. A `Detection` has a positive-size box, and
-`step` rejects a frame not after the previous one and matches a track at
-most once, so times increase.
+A track's window is a `ttc.SampleWindow` of its raw detection samples,
+each timed by its frame's clock, shaped by `RegressionParams`: it keeps
+enough samples for both fits and the running sums of the size fit. A
+`Detection` has a positive-size box, and `step` rejects a frame whose time
+is not finite or not after the previous one and matches a track at most
+once, so times increase.
 
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
@@ -34,19 +36,18 @@ paths, chosen by the shape and values of the score matrix:
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import chain
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import EngineConfig, TrackerParams
+from .config import RegressionParams, TrackerParams
 from .streams import ROAD_USER_KINDS, Box, Detection, FrameRecord
-from .ttc import Sample
+from .ttc import Sample, SampleWindow
 
 
 class NonMonotonicFrameError(ValueError):
-    """A frame arrived with a timestamp not after the previous frame."""
+    """A frame arrived with a timestamp not finite or not after the previous frame."""
 
 
 def iou(a: Box, b: Box) -> float:
@@ -93,7 +94,6 @@ def obs_to_box(u: float, v: float, s: float, r: float) -> Box:
 
 _AREA_FLOOR = 1e-4
 _ASPECT_FLOOR = 1e-4
-_WINDOW_CAPACITY = EngineConfig().window_capacity
 
 # SORT's diagonal noise (Bewley et al. 2016): initial variance of a value and
 # of a rate, process noise per second of a value and of the u, v, s rates, and
@@ -153,7 +153,7 @@ class Track:
         track_id: int,
         detection: Detection,
         t: float,  # the frame's time
-        window_capacity: int = _WINDOW_CAPACITY,
+        regression: RegressionParams = RegressionParams(),
     ):
         self.id = track_id
         self.kind = detection.kind
@@ -161,7 +161,7 @@ class Track:
         self.hits = 1
         self.time_since_update = 0
         self.last_trigger: Optional[float] = None  # set by RuleEngine.decide
-        self.window: Deque[Sample] = deque(maxlen=window_capacity)
+        self.window = SampleWindow(regression.window_capacity, regression.size_window_len)
         self._append_sample(detection, t)
 
     def predict(self, dt: float) -> Box:
@@ -333,10 +333,12 @@ class Tracker:
     """Stateful per-frame tracker; call step() with frames in time order."""
 
     def __init__(
-        self, params: TrackerParams = TrackerParams(), window_capacity: int = _WINDOW_CAPACITY
+        self,
+        params: TrackerParams = TrackerParams(),
+        regression: RegressionParams = RegressionParams(),
     ):
         self.params = params
-        self.window_capacity = window_capacity
+        self.regression = regression
         self.tracks: List[Track] = []
         self._next_id = 1
         self._last_t: Optional[float] = None
@@ -344,6 +346,8 @@ class Tracker:
 
     def step(self, frame: FrameRecord) -> List[Track]:
         """Advance one frame; returns the confirmed tracks updated this frame."""
+        if not math.isfinite(frame.t):
+            raise NonMonotonicFrameError(f"frame t={frame.t} is not finite")
         if self._last_t is not None and frame.t <= self._last_t:
             raise NonMonotonicFrameError(
                 f"frame t={frame.t} not after previous t={self._last_t}"
@@ -367,7 +371,7 @@ class Tracker:
             self.tracks[ti].update(detections[dj], frame.t)
         for dj in unmatched_d:
             self.tracks.append(
-                Track(self._next_id, detections[dj], frame.t, self.window_capacity)
+                Track(self._next_id, detections[dj], frame.t, self.regression)
             )
             self._next_id += 1
 

@@ -5,19 +5,22 @@ intrinsics: TTC is the ratio of box size to size-change rate, and the
 focal length cancels out of that ratio. The horizontal-center slope gives
 the drift rate of the target across the frame.
 
-A window is a `deque` of `Sample` tuples, newest last, with positive sizes
-and strictly increasing times (the tracker guarantees both). Times are used
-as-is, so non-uniform frame intervals do not distort the slopes. Each fit
-transposes its newest samples once; height and width share one pass, and
-tracks with equal timestamps share one memoised time basis (`_time_basis`).
+A window is a `SampleWindow`: a bounded deque of `Sample` tuples, newest
+last, with positive sizes and strictly increasing times (the tracker
+guarantees both). Times are used as-is, so non-uniform frame intervals do
+not distort the slopes. The size fit runs on every confirmed track-frame,
+so the window keeps running least-squares sums of it and `ttc_from_window`
+costs O(1). The motion fit runs only where the size rule passes; it is
+computed on demand, in two passes over the window's newest samples, as is
+`fit_slope`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
-from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .config import FrameGeometry
 
@@ -36,6 +39,64 @@ class Sample(NamedTuple):
     by: float
 
 
+class SampleWindow(deque):
+    """A track's newest `capacity` samples, with the sums of its size fit.
+
+    `append` keeps the least-squares sums of t, t^2, h, t*h, w and t*w over
+    the newest `size_window_len` samples: it adds the new sample's terms
+    and takes away those of the sample leaving that span. Each term is
+    measured from an anchor sample, so t^2 does not cancel at epoch-scale
+    clocks. Every `size_window_len` appends the sums are rebuilt from the
+    samples, anchored at the newest: the anchor stays inside the summed
+    span, however uneven the frame intervals, rounding cannot build up over
+    a long track, and the cost stays O(1) amortised. Add samples with
+    `append` only.
+    """
+
+    __slots__ = ("size_window_len", "anchor", "sums", "_countdown")
+
+    def __init__(self, capacity: int, size_window_len: int):
+        if not 2 <= size_window_len <= capacity:
+            raise ValueError(
+                f"need 2 <= size_window_len <= capacity, got {size_window_len} and {capacity}"
+            )
+        super().__init__(maxlen=capacity)
+        self.size_window_len = size_window_len
+        self.anchor = (0.0, 0.0, 0.0)  # the t, h and w the sums are measured from
+        self.sums = (0.0,) * 6
+        self._countdown = 1  # appends until the next rebuild; the first sample anchors
+
+    def append(self, sample: Sample) -> None:
+        n = self.size_window_len
+        leaving = self[-n] if len(self) >= n else None
+        super().append(sample)
+        self._countdown -= 1
+        if not self._countdown:
+            self._rebuild()
+            return
+        t0, h0, w0 = self.anchor
+        t, h, w = sample.t - t0, sample.h - h0, sample.w - w0
+        st, stt, sh, sth, sw, stw = self.sums
+        if leaving is not None:
+            lt, lh, lw = leaving.t - t0, leaving.h - h0, leaving.w - w0
+            st, stt, sh, sth, sw, stw = (
+                st - lt, stt - lt * lt, sh - lh, sth - lt * lh, sw - lw, stw - lt * lw
+            )
+        self.sums = (st + t, stt + t * t, sh + h, sth + t * h, sw + w, stw + t * w)
+
+    def _rebuild(self) -> None:
+        newest = self[-1]
+        t0, h0, w0 = self.anchor = newest.t, newest.h, newest.w
+        st = stt = sh = sth = sw = stw = 0.0
+        for s in islice(self, max(0, len(self) - self.size_window_len), None):
+            t, h, w = s.t - t0, s.h - h0, s.w - w0
+            st, stt, sh, sth, sw, stw = (
+                st + t, stt + t * t, sh + h, sth + t * h, sw + w, stw + t * w
+            )
+        self.sums = (st, stt, sh, sth, sw, stw)
+        self._countdown = self.size_window_len
+
+
 @dataclass(frozen=True)
 class RegressionResult:
     slope: float
@@ -46,27 +107,18 @@ class RegressionResult:
     t_latest: float
 
 
-@lru_cache(maxsize=32)  # keyed by the exact timestamps; the tracks of a frame share a few
-def _time_basis(*ts: float) -> Tuple[float, Tuple[float, ...], float]:
-    """t_mean, the centred times and their sum of squares; a DegenerateFitError is not cached."""
+def _ols(ts: Sequence[float], vs: Sequence[float]) -> Tuple[float, float, float]:
+    """Least squares of vs on ts, in two passes: t_mean, the slope and v_mean."""
     n = len(ts)
     if n < 2:
         raise DegenerateFitError(f"need >= 2 samples, got {n}")
     t_mean = sum(ts) / n
-    dts = tuple([t - t_mean for t in ts])
+    dts = [t - t_mean for t in ts]
     sxx = sum([d ** 2 for d in dts])
     if sxx == 0.0:
         raise DegenerateFitError("all samples share one timestamp")
-    return t_mean, dts, sxx
-
-
-def _ols(ts: Sequence[float], *columns: Sequence[float]) -> Tuple[float, List[Tuple[float, float]]]:
-    """Least squares of each column on ts: t_mean and (slope, mean) per column."""
-    t_mean, dts, sxx = _time_basis(*ts)
-    means = [sum(vs) / len(ts) for vs in columns]
-    return t_mean, [
-        (sum([d * (v - m) for d, v in zip(dts, vs)]) / sxx, m) for vs, m in zip(columns, means)
-    ]
+    v_mean = sum(vs) / n
+    return t_mean, sum([d * (v - v_mean) for d, v in zip(dts, vs)]) / sxx, v_mean
 
 
 def fit_slope(points: Sequence[Tuple[float, float]]) -> RegressionResult:
@@ -76,7 +128,7 @@ def fit_slope(points: Sequence[Tuple[float, float]]) -> RegressionResult:
     variance.
     """
     ts = [t for t, _ in points]
-    t_mean, [(slope, v_mean)] = _ols(ts, [v for _, v in points])
+    t_mean, slope, v_mean = _ols(ts, [v for _, v in points])
     intercept = v_mean - slope * t_mean
     return RegressionResult(
         slope=slope, n=len(ts), fitted_latest=intercept + slope * ts[-1],
@@ -99,18 +151,29 @@ class TtcEstimate:
 SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
 
 
-def ttc_from_window(window: Deque[Sample], size_window_len: int) -> Optional[TtcEstimate]:
+def ttc_from_window(window: SampleWindow, size_window_len: int) -> Optional[TtcEstimate]:
     """TTC from the newest size_window_len samples, None while warming up."""
+    if size_window_len != window.size_window_len:
+        raise ValueError(
+            f"the window sums {window.size_window_len} samples, not {size_window_len}"
+        )
     if len(window) < size_window_len:
         return None
-    ts, hs, ws, _, _ = zip(*islice(window, len(window) - size_window_len, None))
-    t_mean, fits = _ols(ts, hs, ws)
+    st, stt, sh, sth, sw, stw = window.sums
+    t0, h0, w0 = window.anchor
+    t_mean = st / size_window_len  # from t0, as are the sums
+    sxx = stt - st * t_mean
+    if sxx <= 0.0:
+        raise DegenerateFitError("all samples share one timestamp")
     # The fitted size and rate are most reliable at the window centroid;
     # the predicted closing time is then re-referenced to the newest sample.
-    lead = ts[-1] - t_mean
-    return TtcEstimate(
-        *[None if abs(slope) < SLOPE_EPSILON else mean / slope - lead for slope, mean in fits]
-    )
+    lead = window[-1].t - t0 - t_mean
+    ttcs = []
+    for s_v, s_tv, v0 in ((sh, sth, h0), (sw, stw, w0)):
+        slope = (s_tv - t_mean * s_v) / sxx
+        mean = v0 + s_v / size_window_len
+        ttcs.append(None if abs(slope) < SLOPE_EPSILON else mean / slope - lead)
+    return TtcEstimate(*ttcs)
 
 
 def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] = None) -> float:
@@ -120,7 +183,7 @@ def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] =
 
 
 def horizontal_motion(
-    window: Deque[Sample],
+    window: SampleWindow,
     center_window_len: int,
     camera: FrameGeometry,
     c_los: Optional[float] = None,
@@ -131,5 +194,4 @@ def horizontal_motion(
     c_los = camera.principal_x if c_los is None else c_los
     half_width = camera.frame_width / 2.0  # normalized_center inlined, same operations
     ts, _, _, cxs, _ = zip(*islice(window, len(window) - center_window_len, None))
-    _, [(omega, _)] = _ols(ts, [(cx - c_los) / half_width for cx in cxs])
-    return omega
+    return _ols(ts, [(cx - c_los) / half_width for cx in cxs])[1]

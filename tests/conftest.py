@@ -1,6 +1,5 @@
 """Shared helpers: scenario builders and a one-call engine driver."""
 
-from collections import deque
 from importlib import resources
 
 import pytest
@@ -9,7 +8,7 @@ from nearcrash.config import build_config
 from nearcrash.pipeline import run
 from nearcrash.sim import ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import CameraSpec
-from nearcrash.ttc import Sample
+from nearcrash.ttc import Sample, SampleWindow
 
 # a frame large enough that test geometries never clip against it
 BIG_CAMERA = CameraSpec(focal_px=1000.0, frame_width=4000.0, frame_height=3000.0, fps=24.0)
@@ -41,9 +40,17 @@ def run_scenario(scenario: ScenarioSpec, **overrides):
     return run(frames, cfg, collect_annotations=True)
 
 
-def fill_window(actor, camera, times, capacity=None) -> deque:
+def sample_window(samples=(), capacity=18, size_window_len=12) -> SampleWindow:
+    """A track's sample window holding the given samples, appended oldest first."""
+    window = SampleWindow(capacity, size_window_len)
+    for sample in samples:
+        window.append(sample)
+    return window
+
+
+def fill_window(actor, camera, times, capacity=None, size_window_len=12) -> SampleWindow:
     """Project an actor at the given times into a fresh sample window."""
-    window = deque(maxlen=capacity or max(len(times), 2))
+    window = sample_window(capacity=capacity or max(len(times), 2), size_window_len=size_window_len)
     for t in times:
         det = project_actor(actor, t, camera)
         assert det is not None, f"actor left the frame at t={t}"

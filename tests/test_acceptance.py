@@ -10,7 +10,6 @@ import math
 import random
 import statistics
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from nearcrash.streams import CameraSpec, Detection, FrameRecord
 from nearcrash.tracker import Track, Tracker, iou, solve_assignment
 from nearcrash.ttc import Sample, TtcEstimate, ttc_from_window
 
-from conftest import config_for_scenario, load_bundled_scenario, run_scenario
+from conftest import config_for_scenario, load_bundled_scenario, run_scenario, sample_window
 
 
 class _Criterion:
@@ -70,7 +69,7 @@ def test_criterion_1_f1_arithmetic():
 
 def _window_ttc_for_focal(actor, focal, first_frame=1, n=12):
     camera = CameraSpec(focal_px=focal, frame_width=4000, frame_height=3000, fps=24)
-    window = deque(maxlen=n)
+    window = sample_window(capacity=n, size_window_len=n)
     for k in range(first_frame, first_frame + n):
         t = k / 24.0
         det = project_actor(actor, t, camera)
@@ -117,7 +116,7 @@ def test_criterion_3_ttc_oracle_accuracy():
                     init_longitudinal=speed * (ttc_target + t_latest),
                     vel_longitudinal=speed, collision_half_width=1.2,
                 )
-                window = deque(maxlen=12)
+                window = sample_window(capacity=12)
                 for k in range(1, 13):
                     t = k / 24.0
                     det = project_actor(actor, t, camera)
@@ -140,7 +139,7 @@ def test_criterion_3_ttc_oracle_accuracy():
                     bbox_noise_sigma=0.02, seed=seed,
                 )
                 frames = generate_detections(scenario)
-                window = deque(maxlen=12)
+                window = sample_window(capacity=12)
                 for frame in frames[1:13]:
                     det = frame.detections[0]
                     window.append(

@@ -107,28 +107,28 @@ class TestSimulate:
 # outputs on purpose updates the values and lists each one in CHANGES.md
 PINNED_OUTPUTS = {
     "head_on": (
-        "d7872264d781ccbc3743173a54cd9694bb7a174d1b928918fbbc3a6e69ed578d",
-        "16828346f87550d42bacd0d4af10246fbedaca2bcdc7f7cdaffdbb7d45af8bbf",
+        "52a76b6fc0c89dff0784795572a9bc13401ad940f0ad1e7e17d8123cad4ec975",
+        "b4ee12b8901c17ab519d66cd70cdf4663fe5a22e9945d3e5407129e9eed92a54",
     ),
     "cut_in": (
-        "1dc0a1a918511626a21968e36daee04c1f6dec1a615abff88906b2fa51dc1a35",
-        "29443bd759e7938103e65249c64acf30e7c3d79c525ce7e63df6f53435a041e4",
+        "fc6840dcd940d2d574852d81025733aedcf7357141e0f4eea2234a7154ab01f4",
+        "c6cfb025b716d15d60b28b46c477eb0665c3695a6682b1c9f92acbb023dd55b6",
     ),
     "jaywalking_pedestrian": (
-        "6adfc5247766bf213435f72dc0b603e7d7565d352ccaeac72599275eaef9207e",
-        "bf9e284d4f7d2a4c9d1ad02f58ecf25219f29fa2a5a141df53fa4ca11502bbde",
+        "85fadc4c16d34c9b3f3ac88923f798343971494e39b505d0eed9f05ed657add3",
+        "d00fe8826fcbb2b02c2ffad3c7f3ad7470933658136178a8a8e01f681dc0d8ea",
     ),
     "adjacent_pass": (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "cc91649910249642ce7821453defa1d66617698e9b7811f8b7b77a11a616bc2c",
+        "b5805f55e98b177e2f189d01c632a0571750b03a7eef371a7d576f0444268f56",
     ),
     "receding": (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "0b1d1be6b22304f0aa9d4373a34cf97f8a106a4ad281d97deaef1b3184d97cfe",
+        "9f8812606f93af337f80ecc0408b0b3f6ecf60cee9173087261ffb9446997340",
     ),
     "truncated_oncoming": (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "289ccae745ac8357f6fd33fc7ef9fd1321527fe40174807cda85576364348aa6",
+        "6fe1dbc0ccd99928705ef48f5ed889de577fec48ab8b1b73047c4280e5e5d36a",
     ),
 }
 

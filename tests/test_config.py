@@ -48,8 +48,8 @@ class TestDefaults:
 
     def test_window_capacity(self):
         cfg = build_config({"regression": {"size_window_len": 20}})
-        assert cfg.window_capacity == 20
-        assert build_config().window_capacity == 18
+        assert cfg.regression.window_capacity == 20
+        assert build_config().regression.window_capacity == 18
 
     def test_c_los_defaults_to_principal(self):
         cfg = build_config()

@@ -316,6 +316,19 @@ class TestOfflineRun:
         assert 4 in event.frame_ids and 10 in event.frame_ids
         assert all(a < b for a, b in zip(event.frame_ids, event.frame_ids[1:]))
 
+    @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
+    def test_non_finite_frame_time_rejected(self, bad_t):
+        scenario = load_bundled_scenario("head_on")
+        frames = generate_detections(scenario)
+        cfg = config_for_scenario(scenario)
+        corrupted = frames[:10] + [replace(frames[10], t=bad_t)] + frames[11:]
+        result = run(corrupted, cfg, collect_annotations=True)
+        assert result.report.frames_rejected == 1
+        assert result.report.frames_processed == len(frames) - 1
+        # the rejected frame left no sample: the actor keeps its one track
+        assert {a.track_id for s in result.annotations for a in s.tracks} == {1}
+        assert result.events == run(frames[:10] + frames[11:], cfg).events
+
     def test_source_error_partial_results(self):
         scenario = load_bundled_scenario("head_on")
         frames = generate_detections(scenario)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearcrash import tracker
-from nearcrash.config import TrackerParams
+from nearcrash.config import RegressionParams, TrackerParams
 from nearcrash.sim import ActorSpec, ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import ROAD_USER_KINDS, Detection, FrameRecord
 from nearcrash.tracker import (
@@ -503,7 +503,10 @@ def frame_stream(draw):
 @settings(max_examples=100, deadline=None)
 @given(frame_stream(), st.integers(0, 3), st.integers(1, 3), st.integers(2, 6))
 def test_step_keeps_window_invariants(frames, max_age, min_hits, capacity):
-    tracker = Tracker(TrackerParams(max_age=max_age, min_hits=min_hits), capacity)
+    tracker = Tracker(
+        TrackerParams(max_age=max_age, min_hits=min_hits),
+        RegressionParams(size_window_len=2, center_window_len=capacity),
+    )
     for frame in frames:
         before = {trk.id: trk.window[-1] for trk in tracker.tracks}
         tracker.step(frame)

@@ -1,7 +1,8 @@
 """Regression and TTC estimator tests, anchored to the simulator oracle."""
 
 import dataclasses
-from collections import deque
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,13 @@ from nearcrash.ttc import (
     Sample,
     fit_slope,
     horizontal_motion,
-    _time_basis,
     normalized_center,
     ttc_from_window,
 )
 
-from conftest import BIG_CAMERA, config_for_scenario, fill_window, load_bundled_scenario
+from conftest import (
+    BIG_CAMERA, config_for_scenario, fill_window, load_bundled_scenario, sample_window,
+)
 
 FPS = 24.0
 
@@ -137,7 +139,7 @@ class TestTtcFromWindow:
     def test_uses_newest_samples_only(self):
         # an actor that recedes then approaches: the fresh half decides the sign
         cam = BIG_CAMERA
-        window = deque(maxlen=24)
+        window = sample_window(capacity=24)
         recede = approach(init_longitudinal=20.0, vel_longitudinal=-5.0)
         for t in frame_times(0, 12):
             det = project_actor(recede, t, cam)
@@ -218,7 +220,8 @@ def uneven_window(draw):
                 by=0.0,
             )
         )
-    return deque(samples, maxlen=18), draw(st.integers(2, 18))
+    n = draw(st.integers(2, 18))
+    return sample_window(samples, 18, n), n
 
 
 def reference_fit(points):
@@ -230,8 +233,31 @@ def reference_fit(points):
     return sum((t - t_mean) * (v - v_mean) for t, v in points) / sxx, t_mean, v_mean
 
 
+TTC_RTOL = 1e-9  # the running sums' size fit against the two-pass reference
+
+
+def assert_ttc_close(got, points):
+    """A TTC from the running sums against reference_fit over (t, size) points.
+
+    Both are None, or they agree within TTC_RTOL relative; a reference slope
+    within 1e-9 of SLOPE_EPSILON may fall on either side of it. The
+    reference's mean time, a sum of n times over n, is rounded by up to about
+    n ulps of a time, and its TTC with it; that is allowed on top.
+    """
+    slope, t_mean, v_mean = reference_fit(points)
+    if abs(abs(slope) - SLOPE_EPSILON) <= 1e-9:
+        return
+    if abs(slope) < SLOPE_EPSILON:
+        assert got is None
+        return
+    want = v_mean / slope - (points[-1][0] - t_mean)
+    clock = len(points) * math.ulp(max(abs(t) for t, _ in points))
+    assert got is not None and abs(got - want) <= TTC_RTOL * abs(want) + clock
+
+
 class TestFusedFitsEqualFitSlope:
-    """The engine's one-pass-per-window fits equal fit_slope bit for bit."""
+    """The engine's fits equal fit_slope: the motion fit bit for bit, the size
+    fit, read from running sums, within TTC_RTOL."""
 
     @settings(max_examples=100)
     @given(uneven_window())
@@ -240,17 +266,12 @@ class TestFusedFitsEqualFitSlope:
         samples = list(window)[-n:]
         fit_h = fit_slope([(s.t, s.h) for s in samples])
         fit_w = fit_slope([(s.t, s.w) for s in samples])
-
-        def ttc(fit):
-            if abs(fit.slope) < SLOPE_EPSILON:
-                return None
-            return fit.value_mean / fit.slope - (fit.t_latest - fit.t_mean)
-
         for fit, column in ((fit_h, "h"), (fit_w, "w")):
             points = [(s.t, getattr(s, column)) for s in samples]
             assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
         est = ttc_from_window(window, n)
-        assert (est.ttc_h, est.ttc_w) == (ttc(fit_h), ttc(fit_w))
+        for got, column in ((est.ttc_h, "h"), (est.ttc_w, "w")):
+            assert_ttc_close(got, [(s.t, getattr(s, column)) for s in samples])
 
     @settings(max_examples=100)
     @given(uneven_window(), st.one_of(st.none(), st.floats(0.0, 4000.0)))
@@ -276,20 +297,15 @@ def sample_column(draw, n):
 
 
 @st.composite
-def windows_on_clocks(draw):
-    """Windows of 18 samples; several share each clock, so fits share time bases."""
-    clocks = [epoch_clock(draw, 18) for _ in range(draw(st.integers(1, 3)))]
-    windows = []
-    for _ in range(draw(st.integers(2, 6))):
-        times = draw(st.sampled_from(clocks))
-        h, w, cx = (sample_column(draw, 18) for _ in range(3))
-        windows.append(deque(map(Sample, times, h, w, cx, [0.0] * 18), maxlen=18))
-    return windows
-
-
-def reference_ttc(samples, column):
-    slope, t_mean, v_mean = reference_fit([(s.t, getattr(s, column)) for s in samples])
-    return None if abs(slope) < SLOPE_EPSILON else v_mean / slope - (samples[-1].t - t_mean)
+def epoch_track(draw):
+    """A window's capacity and size span, and a track's samples on an epoch-scale
+    clock, enough of them for the sums to be rebuilt at least once."""
+    capacity = draw(st.integers(2, 24))
+    n = draw(st.integers(2, capacity))
+    count = draw(st.integers(capacity, 3 * capacity + 2))
+    times = epoch_clock(draw, count)
+    h, w, cx = (sample_column(draw, count) for _ in range(3))
+    return capacity, n, list(map(Sample, times, h, w, cx, [0.0] * count))
 
 
 def reference_omega(samples):
@@ -300,7 +316,11 @@ def check_fit(window, kind, n):
     samples = list(window)[-n:]
     if kind == "size":
         est = ttc_from_window(window, n)
-        assert (est.ttc_h, est.ttc_w) == (reference_ttc(samples, "h"), reference_ttc(samples, "w"))
+        # times from the first sample, an exact difference, so that the
+        # reference keeps its digits at epoch scale
+        t0 = samples[0].t
+        for got, column in ((est.ttc_h, "h"), (est.ttc_w, "w")):
+            assert_ttc_close(got, [(s.t - t0, getattr(s, column)) for s in samples])
     elif kind == "motion":
         assert horizontal_motion(window, n, BIG_CAMERA) == reference_omega(samples)
     else:
@@ -309,36 +329,39 @@ def check_fit(window, kind, n):
         assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
 
 
-class TestSharedTimeBasis:
-    """Fits that share a clock reuse one memoised time basis, bit for bit."""
+class TestRunningSizeSums:
+    """A window's running sums give the two-pass size fit, across rebuilds."""
 
-    @settings(max_examples=100)
-    @given(windows_on_clocks(), st.data())
-    def test_interleaved_fits_equal_the_reference(self, windows, data):
-        calls = st.tuples(
-            st.integers(0, len(windows) - 1),
-            st.sampled_from(["size", "motion", "fit_slope"]),
-            st.sampled_from([6, 18]),
-        )
-        for index, kind, n in data.draw(st.lists(calls, min_size=1, max_size=20)):
-            check_fit(windows[index], kind, n)
+    @settings(max_examples=200, deadline=None)
+    @given(epoch_track())
+    def test_every_append_equals_the_reference(self, case):
+        capacity, n, samples = case
+        window = sample_window(capacity=capacity, size_window_len=n)
+        for sample in samples:
+            window.append(sample)
+            if len(window) < n:
+                assert ttc_from_window(window, n) is None
+            else:
+                check_fit(window, "size", n)
+            if len(window) >= 2:
+                check_fit(window, "motion", len(window))
+                check_fit(window, "fit_slope", len(window))
 
-    def test_more_clocks_than_the_cache_keeps(self):
-        # cycling through more clocks than the cache holds evicts every basis
-        # before it is used again; each fit must still equal the reference
-        n_clocks = 2 * _time_basis.cache_info().maxsize + 1
-        windows = [
-            deque(Sample(k + 0.01 * i + 0.001 * i * i, 100.0 + i * k, 50.0 + i, 10.0 * i, 0.0)
-                  for i in range(18))
-            for k in range(n_clocks)
-        ]
-        for _ in range(2):
-            for window in windows:
-                check_fit(window, "size", 18)
-                check_fit(window, "motion", 6)
+    def test_a_long_track_crosses_many_rebuilds(self):
+        # 10^5 appends rebuild the sums over 8,000 times; the clock runs 7 h
+        rng = random.Random(29)
+        window = sample_window(capacity=20, size_window_len=12)
+        t = 1.7e9
+        for k in range(100_000):
+            t += rng.uniform(1e-3, 0.5)
+            window.append(Sample(t, rng.uniform(1.0, 800.0), rng.uniform(1.0, 800.0), 0.0, 0.0))
+            if k % 7 == 6 and len(window) >= 12:
+                check_fit(window, "size", 12)
 
     def test_one_timestamp_raises_on_every_call(self):
-        window = deque(Sample(1.7e9, 100.0 + i, 50.0, 10.0 * i, 0.0) for i in range(18))
+        window = sample_window(
+            (Sample(1.7e9, 100.0 + i, 50.0, 10.0 * i, 0.0) for i in range(18)), 18, 18
+        )
         for _ in range(3):
             with pytest.raises(DegenerateFitError):
                 ttc_from_window(window, 18)
@@ -346,6 +369,12 @@ class TestSharedTimeBasis:
                 horizontal_motion(window, 18, BIG_CAMERA)
             with pytest.raises(DegenerateFitError):
                 fit_slope([(s.t, s.h) for s in window])
+
+    def test_a_window_fits_only_its_own_size_span(self):
+        with pytest.raises(ValueError, match="sums 12 samples, not 6"):
+            ttc_from_window(sample_window(capacity=18, size_window_len=12), 6)
+        with pytest.raises(ValueError, match="size_window_len <= capacity"):
+            sample_window(capacity=6, size_window_len=12)
 
 
 @pytest.mark.parametrize("name", ["head_on", "cut_in", "jaywalking_pedestrian"])
