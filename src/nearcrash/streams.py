@@ -17,7 +17,7 @@ write: it raises `TornLineError`, so a caller can keep the frames before.
 from __future__ import annotations
 
 import json
-import math
+from math import isfinite
 from dataclasses import MISSING, dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -68,7 +68,7 @@ class Detection:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.box
-        if not all(map(math.isfinite, self.box)):
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
             raise ValueError(f"non-finite box {self.box}")
         if not (x2 > x1 and y2 > y1):
             raise ValueError(f"degenerate box {self.box}")
@@ -134,7 +134,7 @@ def frame_from_json(line: Union[str, bytes], lineno: int = 0) -> FrameRecord:
         if type(t) not in (float, int):
             raise ValueError(f"t_seconds must be a number, got {t!r}")
         t = float(t)
-        if not math.isfinite(t):
+        if not isfinite(t):
             raise ValueError(f"non-finite t_seconds {t}")
         dets = []
         for i, d in enumerate(obj["detections"]):

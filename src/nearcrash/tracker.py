@@ -17,7 +17,9 @@ once, so times increase.
 
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
-filters for u, v and s and a scalar one for r, on plain floats.
+filters for u, v and s and a scalar one for r, on plain floats. Each step
+is written out axis by axis, with no loop or per-axis lookup; the float
+operations are those of one loop over the axes, in the same order.
 
 Association maximizes the total same-class IoU and takes one of three exact
 paths, chosen by the shape and values of the score matrix:
@@ -87,11 +89,14 @@ def box_to_obs(box: Box) -> Tuple[float, float, float, float]:
 
 def obs_to_box(u: float, v: float, s: float, r: float) -> Box:
     """(center_x, center_y, area, aspect) -> box corners."""
-    w = math.sqrt(max(s, _AREA_FLOOR) * max(r, _ASPECT_FLOOR))
-    h = max(s, _AREA_FLOOR) / w
-    return (u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0)
+    s = _AREA_FLOOR if _AREA_FLOOR > s else s
+    w = math.sqrt(s * (_ASPECT_FLOOR if _ASPECT_FLOOR > r else r))
+    half_w, half_h = w / 2.0, s / w / 2.0
+    return (u - half_w, v - half_h, u + half_w, v + half_h)
 
 
+# a floor is applied as `floor if floor > value else value`: max(value, floor)
+# exactly, NaN included, without the call
 _AREA_FLOOR = 1e-4
 _ASPECT_FLOOR = 1e-4
 
@@ -99,8 +104,8 @@ _ASPECT_FLOOR = 1e-4
 # of a rate, process noise per second of a value and of the u, v, s rates, and
 # measurement noise of u, v, s, r
 _P0_VALUE, _P0_RATE = 10.0, 10000.0
-_Q_VALUE, _Q_RATE = 1.0, (0.01, 0.01, 0.0001)
-_R = (1.0, 1.0, 10.0, 10.0)
+_Q_VALUE, _Q_RATE_U, _Q_RATE_V, _Q_RATE_S = 1.0, 0.01, 0.01, 0.0001
+_R_U, _R_V, _R_S, _R_R = 1.0, 1.0, 10.0, 10.0
 
 
 class KalmanBoxFilter:
@@ -116,30 +121,57 @@ class KalmanBoxFilter:
         self.p_r = _P0_VALUE
 
     def predict(self, dt: float) -> Box:
-        if dt < 0:
-            raise ValueError(f"dt must be >= 0, got {dt}")
-        x, P = self.x, self.P
-        for i, (pvv, pvr, prr) in enumerate(P):
-            x[i] += dt * x[i + 4]
-            cov = pvr + dt * prr  # F P F^T for F = [[1, dt], [0, 1]], plus Q dt
-            P[i] = (pvv + dt * (pvr + cov) + _Q_VALUE * dt, cov, prr + _Q_RATE[i] * dt)
-        self.p_r += _Q_VALUE * dt
-        x[2] = max(x[2], _AREA_FLOOR)
-        return self.box()
+        if not 0.0 <= dt < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"dt must be finite and >= 0, got {dt}")
+        u, v, s, r, du, dv, ds = self.x
+        (uvv, uvr, urr), (vvv, vvr, vrr), (svv, svr, srr) = self.P
+        # per axis, F P F^T + Q dt for F = [[1, dt], [0, 1]]
+        q = _Q_VALUE * dt
+        u_cov = uvr + dt * urr
+        v_cov = vvr + dt * vrr
+        s_cov = svr + dt * srr
+        self.P = [
+            (uvv + dt * (uvr + u_cov) + q, u_cov, urr + _Q_RATE_U * dt),
+            (vvv + dt * (vvr + v_cov) + q, v_cov, vrr + _Q_RATE_V * dt),
+            (svv + dt * (svr + s_cov) + q, s_cov, srr + _Q_RATE_S * dt),
+        ]
+        self.p_r += q
+        u += dt * du
+        v += dt * dv
+        s += dt * ds
+        s = _AREA_FLOOR if _AREA_FLOOR > s else s
+        self.x = [u, v, s, r, du, dv, ds]
+        return obs_to_box(u, v, s, r)
 
     def update(self, box: Box) -> None:
-        x, P, z = self.x, self.P, box_to_obs(box)
-        for i, (pvv, pvr, prr) in enumerate(P):
-            k_value, k_rate = pvv / (pvv + _R[i]), pvr / (pvv + _R[i])
-            y = z[i] - x[i]
-            x[i] += k_value * y
-            x[i + 4] += k_rate * y
-            P[i] = ((1.0 - k_value) * pvv, (1.0 - k_value) * pvr, prr - k_rate * pvr)
-        k_r = self.p_r / (self.p_r + _R[3])
-        x[3] += k_r * (z[3] - x[3])
-        self.p_r *= 1.0 - k_r
-        x[2] = max(x[2], _AREA_FLOOR)
-        x[3] = max(x[3], _ASPECT_FLOOR)
+        u, v, s, r, du, dv, ds = self.x
+        (uvv, uvr, urr), (vvv, vvr, vrr), (svv, svr, srr) = self.P
+        zu, zv, zs, zr = box_to_obs(box)
+        # per axis, the gains of value and rate, then the innovation
+        u_den, v_den, s_den = uvv + _R_U, vvv + _R_V, svv + _R_S
+        u_k, u_kr, u_y = uvv / u_den, uvr / u_den, zu - u
+        v_k, v_kr, v_y = vvv / v_den, vvr / v_den, zv - v
+        s_k, s_kr, s_y = svv / s_den, svr / s_den, zs - s
+        u_keep, v_keep, s_keep = 1.0 - u_k, 1.0 - v_k, 1.0 - s_k
+        self.P = [
+            (u_keep * uvv, u_keep * uvr, urr - u_kr * uvr),
+            (v_keep * vvv, v_keep * vvr, vrr - v_kr * vvr),
+            (s_keep * svv, s_keep * svr, srr - s_kr * svr),
+        ]
+        p_r = self.p_r
+        r_k = p_r / (p_r + _R_R)
+        r += r_k * (zr - r)
+        self.p_r = p_r * (1.0 - r_k)
+        s += s_k * s_y
+        self.x = [
+            u + u_k * u_y,
+            v + v_k * v_y,
+            _AREA_FLOOR if _AREA_FLOOR > s else s,
+            _ASPECT_FLOOR if _ASPECT_FLOOR > r else r,
+            du + u_kr * u_y,
+            dv + v_kr * v_y,
+            ds + s_kr * s_y,
+        ]
 
     def box(self) -> Box:
         return obs_to_box(self.x[0], self.x[1], self.x[2], self.x[3])
@@ -177,9 +209,8 @@ class Track:
     def _append_sample(self, det: Detection, t: float) -> None:
         # windows hold the raw detection measurements, not filter output,
         # so the regressions stay independent of filter tuning
-        self.window.append(
-            Sample(t=t, h=det.height, w=det.width, cx=det.center_x, by=det.bottom_y)
-        )
+        x1, y1, x2, y2 = det.box
+        self.window.append(Sample(t, y2 - y1, x2 - x1, (x1 + x2) / 2.0, y2))
 
     def box(self) -> Box:
         return self.kf.box()

@@ -168,12 +168,12 @@ def ttc_from_window(window: SampleWindow, size_window_len: int) -> Optional[TtcE
     # The fitted size and rate are most reliable at the window centroid;
     # the predicted closing time is then re-referenced to the newest sample.
     lead = window[-1].t - t0 - t_mean
-    ttcs = []
-    for s_v, s_tv, v0 in ((sh, sth, h0), (sw, stw, w0)):
-        slope = (s_tv - t_mean * s_v) / sxx
-        mean = v0 + s_v / size_window_len
-        ttcs.append(None if abs(slope) < SLOPE_EPSILON else mean / slope - lead)
-    return TtcEstimate(*ttcs)
+    slope_h = (sth - t_mean * sh) / sxx
+    slope_w = (stw - t_mean * sw) / sxx
+    return TtcEstimate(
+        None if abs(slope_h) < SLOPE_EPSILON else (h0 + sh / size_window_len) / slope_h - lead,
+        None if abs(slope_w) < SLOPE_EPSILON else (w0 + sw / size_window_len) / slope_w - lead,
+    )
 
 
 def normalized_center(cx: float, camera: FrameGeometry, c_los: Optional[float] = None) -> float:

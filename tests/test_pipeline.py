@@ -1,5 +1,6 @@
 """Pipeline tests: latest-wins queue, recorder contract, run() semantics."""
 
+import hashlib
 import io
 import json
 import threading
@@ -548,6 +549,48 @@ def test_time_scale_invariance(k):
             ), name
         n_events += len(events)
     assert n_events >= 3
+
+
+# FUNNEL_ACTORS plus a slow vehicle far ahead and a pedestrian crossing the road
+NOISY_ACTORS = FUNNEL_ACTORS + (
+    ActorSpec("vehicle", 1.6, 2.0, 45.0, init_lateral=1.0, vel_longitudinal=4.0, vel_lateral=0.3),
+    ActorSpec("pedestrian", 1.8, 0.6, 12.0, init_lateral=4.0, vel_lateral=-1.2),
+)
+
+# sha256 of events.json and annotations.jsonl, as `nearcrash run` writes them
+NOISY_STREAM_DIGESTS = (
+    "ed19eadb3621847962e6e83521f713a27d64f607fbee4923f90f31065342d3af",
+    "6294935f2e5c65b77005072b79bee5e7ad63012505cf5b21e7621a717f9b55a7",
+)
+
+
+def _missed(frame_id: int, j: int) -> bool:
+    # detection j of a frame is missed for the first 1, 2 or 3 frames of every
+    # 16, the run length and phase depending on j
+    k = frame_id + 5 * j
+    return k % 16 < 1 + (k // 16 + j) % 3
+
+
+def test_noisy_stream_with_misses_keeps_pinned_outputs():
+    # noisy boxes and missed detections exercise coasting, track deaths and
+    # births, which the noise-free bundled scenarios of PINNED_OUTPUTS do not
+    camera = CameraSpec(focal_px=1000.0, frame_width=1280.0, frame_height=720.0, fps=24.0)
+    scenario = ScenarioSpec(camera, NOISY_ACTORS, duration=6.0, bbox_noise_sigma=0.01, seed=11)
+    frames = [
+        replace(f, detections=[d for j, d in enumerate(f.detections) if not _missed(f.frame_id, j)])
+        for f in generate_detections(scenario)
+    ]
+    # a track that misses 3 frames ends, and its actor's next detection starts a new one
+    cfg = config_for_scenario(scenario, **{"tracker.max_age": 2})
+    result = run(frames, cfg, collect_annotations=True)
+    track_ids = {ann.track_id for summary in result.annotations for ann in summary.tracks}
+    assert result.events and len(track_ids) > 2 * len(NOISY_ACTORS)
+    events = json.dumps([e.to_dict() for e in result.events], indent=2, sort_keys=True) + "\n"
+    annotations = "".join(
+        json.dumps(summary.to_dict(), sort_keys=True) + "\n" for summary in result.annotations
+    )
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (events, annotations))
+    assert digests == NOISY_STREAM_DIGESTS
 
 
 def lockstep(frames):

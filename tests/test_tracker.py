@@ -1,6 +1,7 @@
 """Tracker tests: IoU, prediction, optimal association, track lifecycle."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -152,6 +153,103 @@ class TestKalmanEquivalence:
             want = np.array(want, dtype=float)
             tol = 1e-12 * max(np.abs(want).max(), 1.0)
             assert np.abs(np.array(got, dtype=float) - want).max() <= tol, (got, want)
+
+
+class LoopKalmanFilter:
+    """Reference: the per-axis filter as a loop over u, v and s, SORT's noise inline."""
+
+    Q_RATE = (0.01, 0.01, 0.0001)
+    R = (1.0, 1.0, 10.0, 10.0)
+
+    def __init__(self, box):
+        self.x = [*box_to_obs(box), 0.0, 0.0, 0.0]
+        self.P = [(10.0, 0.0, 10000.0)] * 3
+        self.p_r = 10.0
+
+    def predict(self, dt):
+        x, P = self.x, self.P
+        for i, (pvv, pvr, prr) in enumerate(P):
+            x[i] += dt * x[i + 4]
+            cov = pvr + dt * prr
+            P[i] = (pvv + dt * (pvr + cov) + 1.0 * dt, cov, prr + self.Q_RATE[i] * dt)
+        self.p_r += 1.0 * dt
+        x[2] = max(x[2], 1e-4)
+        return self.box()
+
+    def update(self, box):
+        x, P, z = self.x, self.P, box_to_obs(box)
+        for i, (pvv, pvr, prr) in enumerate(P):
+            k_value, k_rate = pvv / (pvv + self.R[i]), pvr / (pvv + self.R[i])
+            y = z[i] - x[i]
+            x[i] += k_value * y
+            x[i + 4] += k_rate * y
+            P[i] = ((1.0 - k_value) * pvv, (1.0 - k_value) * pvr, prr - k_rate * pvr)
+        k_r = self.p_r / (self.p_r + self.R[3])
+        x[3] += k_r * (z[3] - x[3])
+        self.p_r *= 1.0 - k_r
+        x[2] = max(x[2], 1e-4)
+        x[3] = max(x[3], 1e-4)
+
+    def box(self):
+        u, v, s, r = self.x[:4]
+        w = math.sqrt(max(s, 1e-4) * max(r, 1e-4))
+        h = max(s, 1e-4) / w
+        return (u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0)
+
+
+def filter_bits(kf):
+    """x, P and p_r as the hex of each float, so -0.0 and 0.0 differ too."""
+    return [v.hex() for v in (*kf.x, *(v for axis in kf.P for v in axis), kf.p_r)]
+
+
+# frame intervals (steady rates, jitter, 0, a long gap after dropped frames),
+# whether an update follows, and how much the updated box grows or shrinks
+FRAME_STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([0.0, 1 / 24, 1 / 30, 0.1, 2.5]),
+            st.floats(0.0, 0.5),
+        ),
+        st.booleans(),
+        st.floats(0.9, 1.1),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestKalmanLoopOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x1=st.floats(0.0, 2000.0),
+        y1=st.floats(0.0, 1000.0),
+        w=st.floats(0.5, 400.0),
+        h=st.floats(0.5, 400.0),
+        steps=FRAME_STEPS,
+    )
+    def test_written_out_filter_equals_the_loop_bit_for_bit(self, x1, y1, w, h, steps):
+        box = (x1, y1, x1 + w, y1 + h)
+        kf, ref = KalmanBoxFilter(box), LoopKalmanFilter(box)
+        assert filter_bits(kf) == filter_bits(ref)
+        for k, (dt, matched, scale) in enumerate(steps):
+            assert kf.predict(dt) == ref.predict(dt)
+            if matched:
+                cx, cy = (box[0] + box[2]) / 2 + 3.0 * k, (box[1] + box[3]) / 2 - 1.0 * k
+                bw, bh = (box[2] - box[0]) * scale, (box[3] - box[1]) * scale
+                box = (cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2)
+                kf.update(box)
+                ref.update(box)
+            assert filter_bits(kf) == filter_bits(ref)
+            assert kf.box() == ref.box()
+
+    @pytest.mark.parametrize("dt", [-1.0, float("nan"), float("inf")])
+    def test_predict_rejects_a_negative_or_non_finite_dt(self, dt):
+        kf = KalmanBoxFilter((100.0, 100.0, 140.0, 180.0))
+        kf.x[4] = 10.0
+        before = filter_bits(kf)
+        with pytest.raises(ValueError, match="dt must be finite and >= 0"):
+            kf.predict(dt)
+        assert filter_bits(kf) == before
 
 
 def total_score(score: np.ndarray, pairs) -> float:
