@@ -6,7 +6,8 @@ predictions against ground truth), gps (convert and export trajectories),
 report (render a saved evaluation report).
 
 Exit codes: 0 success, 2 input error, 3 runtime error. `run` passes the
-stream to `pipeline.run` and writes what it returns, torn tail included.
+stream to `pipeline.run`, writes annotations as frames are processed, and
+writes what the run returns, torn tail included.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import ExitStack
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -55,6 +57,11 @@ def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(obj, fp, indent=2, sort_keys=sort_keys)
         fp.write("\n")
+
+
+def _write_annotation(fp, summary: pipeline.FrameSummary) -> None:
+    fp.write(json.dumps(summary.to_dict(), sort_keys=True))
+    fp.write("\n")
 
 
 def _write_trajectory(
@@ -119,18 +126,34 @@ def cmd_run(args: argparse.Namespace) -> int:
     for warning in gps_warnings:
         print(f"gps warning: {warning}", file=sys.stderr)
 
-    # both modes read the stream lazily, so memory stays bounded offline
+    # both modes read the stream lazily and write annotations as frames are
+    # processed, so memory stays bounded on a long drive
+    annotations_path = out_dir / "annotations.jsonl"
+    failed = True  # until the run returns and its input is accepted
     try:
-        result = pipeline.run(
-            streams.read_detection_stream(stream_fp), cfg,
-            gps_fixes=fixes, collect_annotations=args.debug_annotations,
+        with ExitStack() as stack:
+            if args.detections != "-":
+                stack.enter_context(stream_fp)
+            annotation_sink = None
+            if args.debug_annotations:
+                fp = stack.enter_context(open(annotations_path, "w", encoding="utf-8"))
+                annotation_sink = partial(_write_annotation, fp)
+            result = pipeline.run(
+                streams.read_detection_stream(stream_fp), cfg,
+                gps_fixes=fixes, annotation_sink=annotation_sink,
+            )
+        # offline, a malformed line is an input error and nothing is written;
+        # live, it is a source failure that ends the run (exit 3 below)
+        failed = (
+            isinstance(result.error, streams.StreamFormatError)
+            and cfg.pipeline.mode == "offline"
         )
     finally:
-        if args.detections != "-":
-            stream_fp.close()
-    # offline, a malformed line is an input error and nothing is written;
-    # live, it is a source failure that ends the run (exit 3 below)
-    if isinstance(result.error, streams.StreamFormatError) and cfg.pipeline.mode == "offline":
+        # offline output is all or nothing: no annotations are left after an
+        # input error, nor after an exception, which main reports (exit 3)
+        if args.debug_annotations and failed:
+            annotations_path.unlink(missing_ok=True)
+    if failed:
         print(f"error: {result.error}", file=sys.stderr)
         return 2
     if result.torn_line is not None:
@@ -140,11 +163,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(out_dir / "throughput.json", result.report.to_dict())
     if fixes is not None:
         _write_trajectory(fixes, cfg.gps.sample_period, out_dir)
-    if result.annotations is not None:
-        with open(out_dir / "annotations.jsonl", "w", encoding="utf-8") as fp:
-            for summary in result.annotations:
-                fp.write(json.dumps(summary.to_dict(), sort_keys=True))
-                fp.write("\n")
 
     print(
         f"processed {result.report.frames_processed} frames "

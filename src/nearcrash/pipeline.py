@@ -4,10 +4,12 @@
 frame it runs the tracker, passes the frame to the event recorder, and
 for every confirmed track runs the TTC fit and the size rule, then, where
 that passes or for annotations, the motion fit and the decision; triggers
-go to the recorder. A frame the tracker rejects, its time not finite or
-not after the previous frame's, is counted and never reaches the recorder.
-The `on_frame` hook runs after every consumed frame, rejected ones
-included.
+go to the recorder. With an `annotation_sink`, each processed frame's
+`FrameSummary` goes to it as soon as the frame's decisions are made, and
+`run` keeps none of them. A frame the tracker rejects, its time not finite
+or not after the previous frame's, is counted and never reaches the
+recorder or the annotation sink. The `on_frame` hook runs after every
+consumed frame, rejected ones included.
 The recorder owns the rest of an event record: the pre-event ring of
 frame ids, the GPS lookup and the event ids. It runs inline in the loop
 in both modes.
@@ -182,11 +184,10 @@ class EventRecorder:
     cut at the last frame and flagged truncated by finish().
     A sink failure keeps the event in memory; its message is kept in
     `sink_failures`, which `run` returns as `RunResult.sink_failures` and
-    counts in `ThroughputReport.sink_failures`. The sink runs in the calling
-    thread, or on `sink_executor` when one is set (live runs set it).
+    counts in `ThroughputReport.sink_failures`. The sink runs on
+    `sink_executor`, or in the calling thread when that is None (live runs
+    pass one).
     """
-
-    sink_executor: Optional[Executor] = None
 
     def __init__(
         self,
@@ -194,10 +195,12 @@ class EventRecorder:
         post_seconds: float = POST_EVENT_SECONDS,
         sink: Optional[Callable[[NearCrashEvent], None]] = None,
         gps_fixes: Optional[Sequence[GpsFix]] = None,
+        sink_executor: Optional[Executor] = None,
     ):
         self.context = ContextBuffer(pre_seconds)
         self.post_seconds = post_seconds
         self.sink = sink
+        self.sink_executor = sink_executor
         self.fixes = sorted(gps_fixes, key=_fix_time) if gps_fixes else []
         self.events: List[NearCrashEvent] = []
         self.sink_failures: List[str] = []
@@ -289,7 +292,6 @@ class ThroughputReport(Checked):
 class RunResult:
     events: List[NearCrashEvent]
     report: ThroughputReport
-    annotations: Optional[List[FrameSummary]]
     sink_failures: List[str]  # `event <id>: <error>` for each event the sink failed on
     error: Optional[Exception] = None  # the failure that ended the source
     torn_line: Optional[TornLineError] = None  # the torn tail that ended it
@@ -331,7 +333,7 @@ def run(
     gps_fixes: Optional[Sequence[GpsFix]] = None,
     event_sink: Optional[Callable[[NearCrashEvent], None]] = None,
     on_frame: Optional[Callable[[FrameRecord], None]] = None,
-    collect_annotations: bool = False,
+    annotation_sink: Optional[Callable[[FrameSummary], None]] = None,
 ) -> RunResult:
     """Run the engine over a frame source in the configured mode.
 
@@ -339,17 +341,21 @@ def run(
     consumed frame, rejected ones included (instrumentation hook; a slow
     one acts as a slow engine). event_sink is called for each finalized
     event: inline offline, on a worker thread in live mode.
+    annotation_sink, when given, is called inline with each processed
+    frame's `FrameSummary`, before on_frame, in both modes.
     """
     live = config.pipeline.mode == "live"
     frames = _Source(source)
+    # its worker thread starts with the first event
+    sink_executor = ThreadPoolExecutor(1, "nearcrash-sink") if live else None
     recorder = EventRecorder(
-        pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes
+        pre_seconds=config.pipeline.buffer_seconds, sink=event_sink, gps_fixes=gps_fixes,
+        sink_executor=sink_executor,
     )
     tracker = Tracker(config.tracker, config.regression)
     engine = RuleEngine(config.rules, config.camera)
     size_len, rules = config.regression.size_window_len, config.rules
     motion_fit = (config.regression.center_window_len, config.camera, rules.c_los)
-    annotations: Optional[List[FrameSummary]] = [] if collect_annotations else None
     processed = rejected = 0
     last_t: Optional[float] = None
     start = time.monotonic()
@@ -360,8 +366,6 @@ def run(
         )
         producer.start()
         feed = iter(queue.get, None)
-        # its worker thread starts with the first event
-        recorder.sink_executor = ThreadPoolExecutor(1, "nearcrash-sink")
     else:
         feed = frames
     try:
@@ -372,7 +376,7 @@ def run(
                 rejected += 1
             else:
                 recorder.on_frame(frame.frame_id, frame.t)
-                annotated = [] if annotations is not None else None
+                annotated = [] if annotation_sink is not None else None
                 for trk in tracks:
                     est = ttc_from_window(trk.window, size_len)
                     # a trigger needs the size rule: unless annotating, a failing one is done
@@ -387,7 +391,7 @@ def run(
                     if decision.triggered:
                         recorder.on_trigger(trk.id, trk.kind, frame.t, decision)
                 if annotated is not None:
-                    annotations.append(FrameSummary(frame.frame_id, frame.t, tuple(annotated)))
+                    annotation_sink(FrameSummary(frame.frame_id, frame.t, tuple(annotated)))
                 processed += 1
                 last_t = frame.t
             if on_frame is not None:
@@ -400,8 +404,8 @@ def run(
         try:
             recorder.finish(last_t)
         finally:
-            if recorder.sink_executor is not None:
-                recorder.sink_executor.shutdown()
+            if sink_executor is not None:
+                sink_executor.shutdown()
     if live:
         producer.join()  # it closed the queue that ended the loop, so it is done
     wall = time.monotonic() - start
@@ -418,7 +422,6 @@ def run(
     return RunResult(
         events=recorder.events,
         report=report,
-        annotations=annotations,
         sink_failures=recorder.sink_failures,
         error=frames.error,
         torn_line=frames.torn_line,

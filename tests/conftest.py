@@ -33,11 +33,11 @@ def config_for_scenario(scenario: ScenarioSpec, **overrides):
     return build_config(user)
 
 
-def run_scenario(scenario: ScenarioSpec, **overrides):
+def run_scenario(scenario: ScenarioSpec, annotation_sink=None, **overrides):
     """Simulate a scenario and push it through the full engine offline."""
     frames = generate_detections(scenario)
     cfg = config_for_scenario(scenario, **overrides)
-    return run(frames, cfg, collect_annotations=True)
+    return run(frames, cfg, annotation_sink=annotation_sink)
 
 
 def sample_window(samples=(), capacity=18, size_window_len=12) -> SampleWindow:

@@ -166,7 +166,8 @@ def test_criterion_4_rule_semantics_suite():
         for name, expectation in SCENARIO_EXPECTATIONS.items():
             scenario = load_bundled_scenario(name)
             labels = label_ground_truth_events(scenario, delta=3.0)
-            result = run_scenario(scenario)
+            annotations = []
+            result = run_scenario(scenario, annotations.append)
             assert len(result.events) == expectation["events"], name
             assert len(labels) == expectation["events"], name
             for label in labels:
@@ -180,7 +181,7 @@ def test_criterion_4_rule_semantics_suite():
                 # height says danger, shrinking width vetoes (frame-truncation case)
                 dangerous = [
                     ann
-                    for summary in result.annotations
+                    for summary in annotations
                     for ann in summary.tracks
                     if ann.ttc_h is not None and 0 < ann.ttc_h < 3.0
                 ]

@@ -262,9 +262,11 @@ class TestRunAndEval:
             '"frame_id": "7", "t_seconds": 0.1, "detections": []',
             '"frame_id": 1, "t_seconds": true, "detections": []',
             '"frame_id": 1, "t_seconds": 1' + "0" * 400 + ', "detections": []',
+            '"frame_id": 1, "t_seconds": 0.1, "detections": [{"class": "vehicle", '
+            '"confidence": 1.5, "x1": 1.0, "y1": 1.0, "x2": 5.0, "y2": 9.0}]',
         ],
         ids=["nan_t", "infinite_t", "infinite_box_edge", "float_frame_id", "bool_frame_id",
-             "string_frame_id", "bool_t", "overflowing_int_t"],
+             "string_frame_id", "bool_t", "overflowing_int_t", "confidence_above_one"],
     )
     def test_non_finite_stream_value_is_input_error(self, workdir, capsys, bad):
         stream = workdir / "bad.jsonl"
@@ -302,6 +304,43 @@ class TestRunAndEval:
         assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 2
         assert "line 51" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "failure, flags, code, message",
+        [
+            ("engine_exception", (), 3, "runtime error: engine failed"),
+            ("engine_exception", ("--debug-annotations",), 3, "runtime error: engine failed"),
+            ("malformed_line", ("--debug-annotations",), 2, "error: line 51: "),
+        ],
+        ids=["exception", "exception_annotated", "malformed_line_annotated"],
+    )
+    def test_failed_offline_run_leaves_no_output(
+        self, workdir, capsys, monkeypatch, failure, flags, code, message
+    ):
+        # annotations are written as frames are processed, and taken back on failure
+        detections, _ = simulate(workdir, "head_on")
+        out_dir = workdir / "x"
+        annotated_mid_run = []
+        if failure == "malformed_line":
+            lines = detections.read_text().splitlines()
+            detections.write_text("\n".join(lines[:50] + ['{"frame_id": 50}'] + lines[51:]) + "\n")
+        else:
+            run = pipeline.run
+
+            def failing_run(source, cfg, **kwargs):
+                def hook(frame):
+                    if frame.frame_id == 40:
+                        annotated_mid_run.append((out_dir / "annotations.jsonl").exists())
+                        raise RuntimeError("engine failed")
+
+                return run(source, cfg, on_frame=hook, **kwargs)
+
+            monkeypatch.setattr(pipeline, "run", failing_run)
+        assert run_cli("run", str(detections), "--out-dir", str(out_dir), *flags) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert list(out_dir.iterdir()) == []
+        if failure == "engine_exception":
+            assert annotated_mid_run == [bool(flags)]
 
     @pytest.mark.parametrize("mode, code", [("offline", 2), ("live", 3)])
     def test_undecodable_bytes_are_a_malformed_stream(
@@ -677,6 +716,9 @@ class TestGpsCommand:
         [
             pytest.param('{"gps": null}', "expected a JSON array of events", id="not_array"),
             pytest.param("[5]", "event 0: expected an object", id="int_entry"),
+            pytest.param(
+                '[{"gps": 5}]', "event 0: gps: expected an object or null", id="number_gps"
+            ),
             pytest.param(
                 '[{"gps": null}, {"gps": {"lat": "north", "lon": 1}}]',
                 "event 1: gps.lat: expected a finite number, got 'north'",

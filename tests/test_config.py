@@ -136,6 +136,12 @@ class TestLoadAndOverride:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
 
+    def test_top_level_array_file(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text('[{"rules": {"delta": 2.0}}]')
+        with pytest.raises(ConfigError, match=r"array\.json: top level must be an object$"):
+            load_config(str(path))
+
     def test_override_flags_cover_all_leaves(self):
         flags = override_flags()
         assert "rules.delta" in flags

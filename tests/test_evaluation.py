@@ -232,6 +232,10 @@ class TestEventsFromJson:
         with pytest.raises(ValueError):
             events_from_json([{"video_id": "a"}])
 
+    def test_rejects_non_object_entry(self):
+        with pytest.raises(ValueError, match="^event 1: expected an object$"):
+            events_from_json([{"time": 1.0}, [1.5]])
+
     def test_rejects_non_string_video_id(self):
         with pytest.raises(ValueError, match="event 0: video_id"):
             events_from_json([{"video_id": 7, "time": 1.5}])

@@ -135,6 +135,12 @@ class TestIo:
         assert [f.t for f in fixes] == [0.0, 3.0]
         assert len(warnings) == 1 and warnings[0].startswith("row 3: skipped")
 
+    def test_non_finite_position_skipped_with_row_number(self):
+        csv_text = "t,lat_raw,lon_raw\n0,10,10\n1,inf,10\n3,10.1,10\n"
+        fixes, warnings = read_fix_csv(io.StringIO(csv_text))
+        assert [f.t for f in fixes] == [0.0, 3.0]
+        assert len(warnings) == 1 and warnings[0].startswith("row 3: skipped (non-finite")
+
     def test_out_of_order_rows_sorted_and_each_warned(self):
         csv_text = "t,lat_raw,lon_raw\n5,10,10\n3,10,10\n4,10,10\n6,10,10\n"
         fixes, warnings = read_fix_csv(io.StringIO(csv_text))

@@ -1,11 +1,13 @@
 """Pipeline tests: latest-wins queue, recorder contract, run() semantics."""
 
+import gc
 import hashlib
 import io
 import json
 import threading
 import time
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from nearcrash.pipeline import (
     ContextBuffer,
     EventRecorder,
     LatestFrameQueue,
+    RunResult,
     run,
 )
 from nearcrash.rules import NearCrashDecision, RuleEngine
@@ -231,6 +234,33 @@ class TestContextBuffer:
         ids = buf.frames_since(3.0)
         assert ids[0] == 30 and ids[-1] == 49
 
+    def test_span_must_be_positive(self):
+        with pytest.raises(ValueError, match="span_seconds must be > 0"):
+            ContextBuffer(0)
+
+
+@pytest.mark.parametrize("mode", ["offline", "live"])
+def test_run_keeps_no_frame_summary(mode):
+    # a sink that keeps only weak references: once run returns, no summary is alive
+    scenario = load_bundled_scenario("head_on")
+    source, step = lockstep(generate_detections(scenario))
+    refs, threads = [], []
+
+    def sink(summary):
+        refs.append(weakref.ref(summary))
+        threads.append(threading.current_thread())
+
+    cfg = config_for_scenario(scenario, **{"pipeline.mode": mode})
+    result = run(source, cfg, annotation_sink=sink, on_frame=step)
+    gc.collect()
+    assert len(refs) == result.report.frames_processed == 72
+    assert [ref for ref in refs if ref() is not None] == []
+    # the loop calls the sink inline in both modes
+    assert set(threads) == {threading.current_thread()}
+    assert [f.name for f in fields(RunResult)] == [
+        "events", "report", "sink_failures", "error", "torn_line"
+    ]
+
 
 class TestOfflineRun:
     def test_head_on_event_matches_oracle(self):
@@ -254,11 +284,12 @@ class TestOfflineRun:
             ]
 
         # detections whose own time is stale are fitted on their frame's clock
-        stale = run(growing_box(lambda k: 0.0), build_config(), collect_annotations=True)
-        timed = run(growing_box(lambda k: k / 24), build_config(), collect_annotations=True)
-        assert stale.report.frames_processed == 40
-        assert stale.annotations == timed.annotations
-        assert any(a.ttc_h is not None for s in timed.annotations for a in s.tracks)
+        stale, timed = [], []
+        result = run(growing_box(lambda k: 0.0), build_config(), annotation_sink=stale.append)
+        run(growing_box(lambda k: k / 24), build_config(), annotation_sink=timed.append)
+        assert result.report.frames_processed == 40
+        assert stale == timed
+        assert any(a.ttc_h is not None for s in timed for a in s.tracks)
 
     def test_empty_stream(self):
         cfg = build_config()
@@ -274,12 +305,13 @@ class TestOfflineRun:
         assert result.events == []
 
     def test_event_invariant_recheckable_from_annotations(self):
-        result = run_scenario(load_bundled_scenario("head_on"))
+        annotations = []
+        result = run_scenario(load_bundled_scenario("head_on"), annotations.append)
         event = result.events[0]
         assert event.size_rule_pass and event.motion_rule_pass
         trigger_frames = [
             ann
-            for summary in result.annotations
+            for summary in annotations
             for ann in summary.tracks
             if summary.t == event.trigger_time and ann.track_id == event.track_id
         ]
@@ -291,10 +323,11 @@ class TestOfflineRun:
         scenario = load_bundled_scenario("cut_in")
 
         def digest():
-            result = run_scenario(scenario)
+            annotations = []
+            result = run_scenario(scenario, annotations.append)
             events = json.dumps([e.to_dict() for e in result.events], sort_keys=True)
             anns = json.dumps(
-                [s.to_dict() for s in result.annotations], sort_keys=True
+                [s.to_dict() for s in annotations], sort_keys=True
             )
             return events + anns
 
@@ -323,11 +356,12 @@ class TestOfflineRun:
         frames = generate_detections(scenario)
         cfg = config_for_scenario(scenario)
         corrupted = frames[:10] + [replace(frames[10], t=bad_t)] + frames[11:]
-        result = run(corrupted, cfg, collect_annotations=True)
+        annotations = []
+        result = run(corrupted, cfg, annotation_sink=annotations.append)
         assert result.report.frames_rejected == 1
         assert result.report.frames_processed == len(frames) - 1
         # the rejected frame left no sample: the actor keeps its one track
-        assert {a.track_id for s in result.annotations for a in s.tracks} == {1}
+        assert {a.track_id for s in annotations for a in s.tracks} == {1}
         assert result.events == run(frames[:10] + frames[11:], cfg).events
 
     def test_source_error_partial_results(self):
@@ -366,7 +400,7 @@ class TestOfflineRun:
 
     def test_track_boxes_built_only_for_annotations(self, monkeypatch):
         scenario = load_bundled_scenario("head_on")
-        expected = [e.to_dict() for e in run_scenario(scenario).events]
+        expected = [e.to_dict() for e in run_scenario(scenario, lambda summary: None).events]
 
         def no_box(track):
             raise AssertionError("Track.box() called without annotations")
@@ -374,7 +408,6 @@ class TestOfflineRun:
         monkeypatch.setattr(Track, "box", no_box)
         result = run(generate_detections(scenario), config_for_scenario(scenario))
         assert [e.to_dict() for e in result.events] == expected
-        assert result.annotations is None
 
     def test_clip_start_follows_buffer_seconds(self):
         # head_on after 5 s of empty frames: the clip's pre-event span is
@@ -427,8 +460,9 @@ class TestRuleFunnel:
         scenario = multi_actor_scenario(FUNNEL_ACTORS, noise=0.01, seed=3)
         frames = generate_detections(scenario)
         cfg = config_for_scenario(scenario)
-        annotated = run(frames, cfg, collect_annotations=True)
-        track_frames = [ann for summary in annotated.annotations for ann in summary.tracks]
+        annotations = []
+        annotated = run(frames, cfg, annotation_sink=annotations.append)
+        track_frames = [ann for summary in annotations for ann in summary.tracks]
         size_pass = sum(ann.size_rule_pass for ann in track_frames)
         assert 0 < size_pass < len(track_frames)
         assert len(motion_fits) == len(track_frames)
@@ -470,7 +504,7 @@ class TestRuleFunnel:
         scenario = multi_actor_scenario(FUNNEL_ACTORS, noise=0.01, seed=3)
         frames = generate_detections(scenario)
         cfg = config_for_scenario(scenario)
-        annotated = run(frames, cfg, collect_annotations=True)
+        annotated = run(frames, cfg, annotation_sink=lambda summary: None)
         assert len(decisions) == sum(confirmed) > 0
         size_pass = [d for d in decisions if d.size_rule_pass]
         assert 0 < len(size_pass) < len(decisions)
@@ -506,7 +540,7 @@ def test_annotations_do_not_change_events(actors, noise, seed):
     frames = generate_detections(scenario)
     cfg = config_for_scenario(scenario)
     plain = run(frames, cfg).events
-    annotated = run(frames, cfg, collect_annotations=True).events
+    annotated = run(frames, cfg, annotation_sink=lambda summary: None).events
     assert [e.to_dict() for e in plain] == [e.to_dict() for e in annotated]
 
 
@@ -571,9 +605,8 @@ def _missed(frame_id: int, j: int) -> bool:
     return k % 16 < 1 + (k // 16 + j) % 3
 
 
-def test_noisy_stream_with_misses_keeps_pinned_outputs():
-    # noisy boxes and missed detections exercise coasting, track deaths and
-    # births, which the noise-free bundled scenarios of PINNED_OUTPUTS do not
+def noisy_stream_with_misses():
+    """A seeded six-actor stream with box noise and missed detections, and its config."""
     camera = CameraSpec(focal_px=1000.0, frame_width=1280.0, frame_height=720.0, fps=24.0)
     scenario = ScenarioSpec(camera, NOISY_ACTORS, duration=6.0, bbox_noise_sigma=0.01, seed=11)
     frames = [
@@ -581,16 +614,88 @@ def test_noisy_stream_with_misses_keeps_pinned_outputs():
         for f in generate_detections(scenario)
     ]
     # a track that misses 3 frames ends, and its actor's next detection starts a new one
-    cfg = config_for_scenario(scenario, **{"tracker.max_age": 2})
-    result = run(frames, cfg, collect_annotations=True)
-    track_ids = {ann.track_id for summary in result.annotations for ann in summary.tracks}
+    return frames, config_for_scenario(scenario, **{"tracker.max_age": 2})
+
+
+def test_noisy_stream_with_misses_keeps_pinned_outputs():
+    # noisy boxes and missed detections exercise coasting, track deaths and
+    # births, which the noise-free bundled scenarios of PINNED_OUTPUTS do not
+    frames, cfg = noisy_stream_with_misses()
+    summaries = []
+    result = run(frames, cfg, annotation_sink=summaries.append)
+    track_ids = {ann.track_id for summary in summaries for ann in summary.tracks}
     assert result.events and len(track_ids) > 2 * len(NOISY_ACTORS)
     events = json.dumps([e.to_dict() for e in result.events], indent=2, sort_keys=True) + "\n"
     annotations = "".join(
-        json.dumps(summary.to_dict(), sort_keys=True) + "\n" for summary in result.annotations
+        json.dumps(summary.to_dict(), sort_keys=True) + "\n" for summary in summaries
     )
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (events, annotations))
     assert digests == NOISY_STREAM_DIGESTS
+
+
+INVARIANCE_STREAMS = (*BUNDLED, "noisy_with_misses")
+
+
+def stream_and_config(name):
+    if name == "noisy_with_misses":
+        return noisy_stream_with_misses()
+    scenario = load_bundled_scenario(name)
+    return generate_detections(scenario), config_for_scenario(scenario)
+
+
+def _event_key(event):
+    return (
+        event.track_id, event.event_type, event.frame_ids, event.truncated,
+        event.size_rule_pass, event.motion_rule_pass,
+    )
+
+
+@pytest.mark.parametrize("name", INVARIANCE_STREAMS)
+def test_mirror_invariance(name):
+    # x -> frame_width - x on every box: the same events, and on every
+    # track-frame omega negated and the motion product kept
+    frames, cfg = stream_and_config(name)
+    width = cfg.camera.frame_width
+    mirrored = [
+        replace(f, detections=[
+            replace(d, box=(width - d.box[2], d.box[1], width - d.box[0], d.box[3]))
+            for d in f.detections
+        ])
+        for f in frames
+    ]
+    annotations, mirrored_annotations = [], []
+    expected = run(frames, cfg, annotation_sink=annotations.append).events
+    events = run(mirrored, cfg, annotation_sink=mirrored_annotations.append).events
+    assert [(_event_key(e), e.trigger_time) for e in events] == [
+        (_event_key(e), e.trigger_time) for e in expected
+    ]
+    assert [s.frame_id for s in mirrored_annotations] == [s.frame_id for s in annotations]
+    for summary, reference in zip(mirrored_annotations, annotations):
+        assert [a.track_id for a in summary.tracks] == [a.track_id for a in reference.tracks]
+        for ann, ref in zip(summary.tracks, reference.tracks):
+            if ref.omega is None:
+                assert ann.omega is None
+            else:
+                assert ann.omega == pytest.approx(-ref.omega, rel=1e-9, abs=0)
+            assert ann.motion_product == pytest.approx(ref.motion_product, rel=1e-9, abs=0)
+
+
+EPOCH = 1.6e9  # seconds: a Unix clock in 2020
+
+
+@pytest.mark.parametrize("name", INVARIANCE_STREAMS)
+def test_epoch_clock_invariance(name):
+    # the same stream on an epoch-scale clock: the same events on the same
+    # frame ids, each trigger shifted by the epoch
+    frames, cfg = stream_and_config(name)
+    shifted = [
+        FrameRecord(f.frame_id, f.t + EPOCH, [replace(d, t=d.t + EPOCH) for d in f.detections])
+        for f in frames
+    ]
+    expected = run(frames, cfg).events
+    events = run(shifted, cfg).events
+    assert [_event_key(e) for e in events] == [_event_key(e) for e in expected]
+    assert [e.trigger_time for e in events] == [e.trigger_time + EPOCH for e in expected]
 
 
 def lockstep(frames):

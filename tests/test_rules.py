@@ -180,9 +180,11 @@ class TestDecide:
         assert event_type_for("vehicle") == "vehicle-vehicle"
 
 
-def _decision_flags(result):
+def _decision_flags(scenario):
+    annotations = []
+    run_scenario(scenario, annotations.append)
     flags = []
-    for summary in result.annotations:
+    for summary in annotations:
         for ann in summary.tracks:
             flags.append(
                 (summary.frame_id, ann.size_rule_pass, ann.motion_rule_pass, ann.triggered)
@@ -208,8 +210,8 @@ def scaled_scenario(scale):
 class TestScenarioInvariances:
     def test_resolution_invariance(self):
         # doubling frame resolution and focal together changes no decision
-        flags_1x = _decision_flags(run_scenario(scaled_scenario(1)))
-        flags_2x = _decision_flags(run_scenario(scaled_scenario(2)))
+        flags_1x = _decision_flags(scaled_scenario(1))
+        flags_2x = _decision_flags(scaled_scenario(2))
         assert flags_1x == flags_2x
         assert any(triggered for _, _, _, triggered in flags_1x)
 
@@ -223,10 +225,11 @@ class TestScenarioInvariances:
             )
             return ScenarioSpec(camera=CAM, actors=(actor,), duration=3.0)
 
-        res_r = run_scenario(mirrored(+1))
-        res_l = run_scenario(mirrored(-1))
-        prods_r = [a.motion_product for s in res_r.annotations for a in s.tracks]
-        prods_l = [a.motion_product for s in res_l.annotations for a in s.tracks]
+        anns_r, anns_l = [], []
+        res_r = run_scenario(mirrored(+1), anns_r.append)
+        res_l = run_scenario(mirrored(-1), anns_l.append)
+        prods_r = [a.motion_product for s in anns_r for a in s.tracks]
+        prods_l = [a.motion_product for s in anns_l for a in s.tracks]
         assert len(prods_r) == len(prods_l)
         for pr, pl in zip(prods_r, prods_l):
             assert pl == pytest.approx(pr, rel=1e-6, abs=1e-12)

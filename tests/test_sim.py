@@ -304,8 +304,10 @@ class TestSpecReader:
             (lambda o: o["actors"][0].update({"class": "bicycle"}),
              r"^actors\[0\]: unknown actor class 'bicycle'$"),
             (lambda o: o.pop("duration"), r"^duration: missing$"),
+            (lambda o: o.update(actors={}), r"^actors: expected an array$"),
         ],
-        ids=["misspelt_key", "float_seed", "numeric_class", "unknown_class", "missing_duration"],
+        ids=["misspelt_key", "float_seed", "numeric_class", "unknown_class", "missing_duration",
+             "actors_object"],
     )
     def test_rejects_with_path(self, edit, message):
         obj = bundled_dict("cut_in")

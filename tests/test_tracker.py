@@ -359,6 +359,10 @@ class TestAssociate:
         )
         assert associate(boxes, dets, iou_min, predicted_kinds=kinds) == expected
 
+    def test_solver_rejects_nan_scores(self):
+        with pytest.raises(ValueError, match="finite 2-d matrix"):
+            solve_assignment(np.array([[0.5, float("nan")], [0.2, 0.9]]))
+
     def test_invalid_iou_min(self):
         with pytest.raises(ValueError):
             associate([], [], iou_min=0.0)
