@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from . import config as config_mod
 from . import evaluation, gps as gps_mod, pipeline, sim, streams
-from .config import ConfigError, RuleConfig, read_file, read_record
+from .config import RuleConfig, read_file, read_record
 
 
 def _parse_flag_value(text: str):
@@ -159,6 +159,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if result.torn_line is not None:
         print(f"warning: torn last line ignored: {result.torn_line}", file=sys.stderr)
 
+    # a reused out dir keeps no earlier run's output beside this run's
+    stale = [] if args.debug_annotations else ["annotations.jsonl"]
+    if fixes is None:
+        stale += ["trajectory.csv", "trajectory.geojson"]
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
     _write_json(out_dir / "events.json", [e.to_dict() for e in result.events])
     _write_json(out_dir / "throughput.json", result.report.to_dict())
     if fixes is not None:
@@ -290,9 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # anything unplanned is a runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

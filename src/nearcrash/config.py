@@ -155,11 +155,6 @@ class RegressionParams(Checked):
     size_window_len: int = at_least(12, 2)
     center_window_len: int = at_least(18, 2)
 
-    @property
-    def window_capacity(self) -> int:
-        """The samples a track keeps: enough for both fits."""
-        return max(self.size_window_len, self.center_window_len)
-
 
 @dataclass(frozen=True)
 class RuleConfig(Checked):

@@ -78,7 +78,7 @@ def sample_trajectory(
     fixes: Iterable[GpsFix], period: float = GpsParams.sample_period
 ) -> List[GpsFix]:
     """Keep the first fix, then the next fix at least `period` seconds later."""
-    if period <= 0:
+    if not 0 < period < math.inf:  # NaN fails both comparisons
         raise ValueError("period must be > 0")
     kept: List[GpsFix] = []
     for fix in fixes:

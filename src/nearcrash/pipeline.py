@@ -33,6 +33,7 @@ would; `run` counts it and builds the whole `ThroughputReport`.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from bisect import bisect_right
@@ -132,7 +133,7 @@ class ContextBuffer:
     """Ring of (frame_id, t) pairs spanning the pre-event window."""
 
     def __init__(self, span_seconds: float):
-        if span_seconds <= 0:
+        if not 0 < span_seconds < math.inf:  # NaN fails both comparisons
             raise ValueError("span_seconds must be > 0")
         self.span_seconds = span_seconds
         self._buf: deque = deque()
@@ -197,6 +198,8 @@ class EventRecorder:
         gps_fixes: Optional[Sequence[GpsFix]] = None,
         sink_executor: Optional[Executor] = None,
     ):
+        if not 0 < post_seconds < math.inf:
+            raise ValueError("post_seconds must be > 0")
         self.context = ContextBuffer(pre_seconds)
         self.post_seconds = post_seconds
         self.sink = sink
@@ -354,7 +357,7 @@ def run(
     )
     tracker = Tracker(config.tracker, config.regression)
     engine = RuleEngine(config.rules, config.camera)
-    size_len, rules = config.regression.size_window_len, config.rules
+    rules = config.rules
     motion_fit = (config.regression.center_window_len, config.camera, rules.c_los)
     processed = rejected = 0
     last_t: Optional[float] = None
@@ -378,7 +381,7 @@ def run(
                 recorder.on_frame(frame.frame_id, frame.t)
                 annotated = [] if annotation_sink is not None else None
                 for trk in tracks:
-                    est = ttc_from_window(trk.window, size_len)
+                    est = ttc_from_window(trk.window)
                     # a trigger needs the size rule: unless annotating, a failing one is done
                     if annotated is None and not check_size_rule(est, rules):
                         continue

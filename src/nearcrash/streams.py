@@ -83,15 +83,6 @@ class Detection:
     def height(self) -> float:
         return self.box[3] - self.box[1]
 
-    @property
-    def center_x(self) -> float:
-        return (self.box[0] + self.box[2]) / 2.0
-
-    @property
-    def bottom_y(self) -> float:
-        # image y grows downward, so the bottom edge is the larger y
-        return self.box[3]
-
 
 @dataclass
 class FrameRecord:

@@ -8,12 +8,11 @@ threshold are tracked; cross-class matches are never allowed.
 Prediction steps use the real inter-frame dt from the capture timestamps
 because frame intervals are not assumed uniform.
 
-A track's window is a `ttc.SampleWindow` of its raw detection samples,
-each timed by its frame's clock, shaped by `RegressionParams`: it keeps
-enough samples for both fits and the running sums of the size fit. A
-`Detection` has a positive-size box, and `step` rejects a frame whose time
-is not finite or not after the previous one and matches a track at most
-once, so times increase.
+A track's window is a `ttc.SampleWindow` shaped by `RegressionParams`;
+each of the track's detections goes in through its `add`, as the raw box
+timed by its frame's clock. A `Detection` has a positive-size box, and
+`step` rejects a frame whose time is not finite or not after the previous
+one and matches a track at most once, so times increase.
 
 SORT's noise is diagonal, so the 7x7 covariance of [u, v, s, r, du, dv, ds]
 stays block-diagonal: the filter runs as three independent (value, rate)
@@ -45,7 +44,7 @@ import numpy as np
 
 from .config import RegressionParams, TrackerParams
 from .streams import ROAD_USER_KINDS, Box, Detection, FrameRecord
-from .ttc import Sample, SampleWindow
+from .ttc import SampleWindow
 
 
 class NonMonotonicFrameError(ValueError):
@@ -193,8 +192,8 @@ class Track:
         self.hits = 1
         self.time_since_update = 0
         self.last_trigger: Optional[float] = None  # set by RuleEngine.decide
-        self.window = SampleWindow(regression.window_capacity, regression.size_window_len)
-        self._append_sample(detection, t)
+        self.window = SampleWindow(regression)
+        self.window.add(t, detection.box)
 
     def predict(self, dt: float) -> Box:
         self.time_since_update += 1
@@ -204,13 +203,7 @@ class Track:
         self.kf.update(detection.box)
         self.hits += 1
         self.time_since_update = 0
-        self._append_sample(detection, t)
-
-    def _append_sample(self, det: Detection, t: float) -> None:
-        # windows hold the raw detection measurements, not filter output,
-        # so the regressions stay independent of filter tuning
-        x1, y1, x2, y2 = det.box
-        self.window.append(Sample(t, y2 - y1, x2 - x1, (x1 + x2) / 2.0, y2))
+        self.window.add(t, detection.box)
 
     def box(self) -> Box:
         return self.kf.box()
@@ -304,7 +297,7 @@ def associate(
     predicted: Sequence[Box],
     detections: Sequence[Detection],
     iou_min: float,
-    predicted_kinds: Optional[Sequence[str]] = None,
+    predicted_kinds: Sequence[str],
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
     """Match predicted track boxes to detections by maximum total IoU.
 
@@ -332,9 +325,9 @@ def _best_pair(predicted, detections, iou_min, predicted_kinds):
     # one side has a single box: the optimum is the first best same-class pair
     best, pair = 0.0, None
     for i, box in enumerate(predicted):
-        kind = None if predicted_kinds is None else predicted_kinds[i]
+        kind = predicted_kinds[i]
         for j, det in enumerate(detections):
-            if kind is None or kind == det.kind:
+            if kind == det.kind:
                 overlap = iou(box, det.box)
                 if overlap > best:
                     best, pair = overlap, (i, j)
@@ -343,14 +336,13 @@ def _best_pair(predicted, detections, iou_min, predicted_kinds):
 
 def _optimal_matches(predicted, detections, iou_min, predicted_kinds):
     score = iou_matrix(predicted, [det.box for det in detections])
-    if predicted_kinds is not None:
-        det_kinds = [det.kind for det in detections]
-        # kind -> int, so the mask compares numbers; one kind needs no mask
-        codes = {k: n for n, k in enumerate(set(predicted_kinds).union(det_kinds))}
-        if len(codes) > 1:
-            track_kind = np.array([codes[k] for k in predicted_kinds])
-            det_kind = np.array([codes[k] for k in det_kinds])
-            score[track_kind[:, None] != det_kind[None, :]] = 0.0
+    det_kinds = [det.kind for det in detections]
+    # kind -> int, so the mask compares numbers; one kind needs no mask
+    codes = {k: n for n, k in enumerate(set(predicted_kinds).union(det_kinds))}
+    if len(codes) > 1:
+        track_kind = np.array([codes[k] for k in predicted_kinds])
+        det_kind = np.array([codes[k] for k in det_kinds])
+        score[track_kind[:, None] != det_kind[None, :]] = 0.0
     matches = _dominant_matches(score, iou_min)
     if matches is not None:
         return matches

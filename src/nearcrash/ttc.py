@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .config import FrameGeometry
+from .config import FrameGeometry, RegressionParams
+from .streams import Box
 
 
 class DegenerateFitError(ValueError):
@@ -40,31 +41,35 @@ class Sample(NamedTuple):
 
 
 class SampleWindow(deque):
-    """A track's newest `capacity` samples, with the sums of its size fit.
+    """A track's newest samples, enough for both fits, with the sums of its size fit.
 
-    `append` keeps the least-squares sums of t, t^2, h, t*h, w and t*w over
-    the newest `size_window_len` samples: it adds the new sample's terms
-    and takes away those of the sample leaving that span. Each term is
-    measured from an anchor sample, so t^2 does not cancel at epoch-scale
-    clocks. Every `size_window_len` appends the sums are rebuilt from the
-    samples, anchored at the newest: the anchor stays inside the summed
-    span, however uneven the frame intervals, rounding cannot build up over
-    a long track, and the cost stays O(1) amortised. Add samples with
+    `RegressionParams` gives its shape. `append` keeps the least-squares
+    sums of t, t^2, h, t*h, w and t*w over the newest `size_window_len`
+    samples: it adds the new sample's terms and takes away those of the
+    sample leaving that span. Each term is measured from an anchor sample,
+    so t^2 does not cancel at epoch-scale clocks. Every `size_window_len`
+    appends the sums are rebuilt from the samples, anchored at the newest:
+    the anchor stays inside the summed span, however uneven the frame
+    intervals, rounding cannot build up over a long track, and the cost
+    stays O(1) amortised. Add samples with `add` (a detection box) or
     `append` only.
     """
 
     __slots__ = ("size_window_len", "anchor", "sums", "_countdown")
 
-    def __init__(self, capacity: int, size_window_len: int):
-        if not 2 <= size_window_len <= capacity:
-            raise ValueError(
-                f"need 2 <= size_window_len <= capacity, got {size_window_len} and {capacity}"
-            )
-        super().__init__(maxlen=capacity)
-        self.size_window_len = size_window_len
+    def __init__(self, shape: RegressionParams):
+        super().__init__(maxlen=max(shape.size_window_len, shape.center_window_len))
+        self.size_window_len = shape.size_window_len
         self.anchor = (0.0, 0.0, 0.0)  # the t, h and w the sums are measured from
         self.sums = (0.0,) * 6
         self._countdown = 1  # appends until the next rebuild; the first sample anchors
+
+    def add(self, t: float, box: Box) -> None:
+        # the raw detection measurements, not filter output, so the
+        # regressions stay independent of filter tuning; image y grows
+        # downward, so the bottom edge is y2
+        x1, y1, x2, y2 = box
+        self.append(Sample(t, y2 - y1, x2 - x1, (x1 + x2) / 2.0, y2))
 
     def append(self, sample: Sample) -> None:
         n = self.size_window_len
@@ -151,12 +156,9 @@ class TtcEstimate:
 SLOPE_EPSILON = 1e-3  # slopes smaller than this give no TTC
 
 
-def ttc_from_window(window: SampleWindow, size_window_len: int) -> Optional[TtcEstimate]:
-    """TTC from the newest size_window_len samples, None while warming up."""
-    if size_window_len != window.size_window_len:
-        raise ValueError(
-            f"the window sums {window.size_window_len} samples, not {size_window_len}"
-        )
+def ttc_from_window(window: SampleWindow) -> Optional[TtcEstimate]:
+    """TTC from the window's newest size_window_len samples, None while warming up."""
+    size_window_len = window.size_window_len
     if len(window) < size_window_len:
         return None
     st, stt, sh, sth, sw, stw = window.sums

@@ -4,11 +4,11 @@ from importlib import resources
 
 import pytest
 
-from nearcrash.config import build_config
+from nearcrash.config import RegressionParams, build_config
 from nearcrash.pipeline import run
 from nearcrash.sim import ScenarioSpec, generate_detections, project_actor
 from nearcrash.streams import CameraSpec
-from nearcrash.ttc import Sample, SampleWindow
+from nearcrash.ttc import SampleWindow
 
 # a frame large enough that test geometries never clip against it
 BIG_CAMERA = CameraSpec(focal_px=1000.0, frame_width=4000.0, frame_height=3000.0, fps=24.0)
@@ -42,7 +42,9 @@ def run_scenario(scenario: ScenarioSpec, annotation_sink=None, **overrides):
 
 def sample_window(samples=(), capacity=18, size_window_len=12) -> SampleWindow:
     """A track's sample window holding the given samples, appended oldest first."""
-    window = SampleWindow(capacity, size_window_len)
+    window = SampleWindow(
+        RegressionParams(size_window_len=size_window_len, center_window_len=capacity)
+    )
     for sample in samples:
         window.append(sample)
     return window
@@ -54,7 +56,7 @@ def fill_window(actor, camera, times, capacity=None, size_window_len=12) -> Samp
     for t in times:
         det = project_actor(actor, t, camera)
         assert det is not None, f"actor left the frame at t={t}"
-        window.append(Sample(t=t, h=det.height, w=det.width, cx=det.center_x, by=det.bottom_y))
+        window.add(t, det.box)
     return window
 
 

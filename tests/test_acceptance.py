@@ -28,7 +28,7 @@ from nearcrash.sim import (
 )
 from nearcrash.streams import CameraSpec, Detection, FrameRecord
 from nearcrash.tracker import Track, Tracker, iou, solve_assignment
-from nearcrash.ttc import Sample, TtcEstimate, ttc_from_window
+from nearcrash.ttc import TtcEstimate, ttc_from_window
 
 from conftest import config_for_scenario, load_bundled_scenario, run_scenario, sample_window
 
@@ -74,8 +74,8 @@ def _window_ttc_for_focal(actor, focal, first_frame=1, n=12):
         t = k / 24.0
         det = project_actor(actor, t, camera)
         assert det is not None
-        window.append(Sample(t, det.height, det.width, det.center_x, det.bottom_y))
-    return ttc_from_window(window, n)
+        window.add(t, det.box)
+    return ttc_from_window(window)
 
 
 def test_criterion_2_camera_parameter_invariance():
@@ -119,9 +119,8 @@ def test_criterion_3_ttc_oracle_accuracy():
                 window = sample_window(capacity=12)
                 for k in range(1, 13):
                     t = k / 24.0
-                    det = project_actor(actor, t, camera)
-                    window.append(Sample(t, det.height, det.width, det.center_x, det.bottom_y))
-                est = ttc_from_window(window, 12)
+                    window.add(t, project_actor(actor, t, camera).box)
+                est = ttc_from_window(window)
                 assert abs(est.ttc_h - ttc_target) / ttc_target <= 0.05
 
         # 2% box noise, median relative error over 100 seeded runs
@@ -141,11 +140,8 @@ def test_criterion_3_ttc_oracle_accuracy():
                 frames = generate_detections(scenario)
                 window = sample_window(capacity=12)
                 for frame in frames[1:13]:
-                    det = frame.detections[0]
-                    window.append(
-                        Sample(frame.t, det.height, det.width, det.center_x, det.bottom_y)
-                    )
-                est = ttc_from_window(window, 12)
+                    window.add(frame.t, frame.detections[0].box)
+                est = ttc_from_window(window)
                 errors.append(abs(est.ttc_h - ttc_target) / ttc_target)
             assert statistics.median(errors) <= 0.15
 

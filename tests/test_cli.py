@@ -11,6 +11,7 @@ import pytest
 
 from nearcrash import pipeline
 from nearcrash.cli import main
+from nearcrash.config import ConfigError
 from nearcrash.evaluation import make_report
 
 from conftest import load_bundled_scenario
@@ -215,6 +216,31 @@ class TestRunAndEval:
         parsed = json.loads(lines[30])
         assert "tracks" in parsed and parsed["tracks"][0]["ttc_h"] is not None
 
+    def test_reused_out_dir_keeps_only_this_runs_outputs(self, workdir, capsys):
+        detections, _ = simulate(workdir, "head_on")
+        csv = workdir / "fixes.csv"
+        csv.write_text("t,lat_raw,lon_raw\n0,28,-41\n0.5,28.001,-41.001\n")
+        out_dir = workdir / "out"
+        unrelated = out_dir / "notes.txt"
+        out_dir.mkdir()
+        unrelated.write_text("kept")
+        assert run_cli(
+            "run", str(detections), "--out-dir", str(out_dir), "--debug-annotations",
+            "--gps", str(csv),
+        ) == 0
+        assert len(list(out_dir.iterdir())) == 6
+        assert run_cli("run", str(detections), "--out-dir", str(out_dir)) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "events.json", "notes.txt", "throughput.json"
+        ]
+        # an input error writes and removes nothing
+        bad = workdir / "bad.jsonl"
+        bad.write_text('{"frame_id": 0}\n')
+        assert run_cli("run", str(bad), "--out-dir", str(out_dir), "--debug-annotations") == 2
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "events.json", "notes.txt", "throughput.json"
+        ]
+
     def test_missing_gps_means_null_event_gps(self, workdir):
         detections, _ = simulate(workdir, "head_on")
         out_dir = workdir / "nogps"
@@ -311,8 +337,10 @@ class TestRunAndEval:
             ("engine_exception", (), 3, "runtime error: engine failed"),
             ("engine_exception", ("--debug-annotations",), 3, "runtime error: engine failed"),
             ("malformed_line", ("--debug-annotations",), 2, "error: line 51: "),
+            # past the input phase a ConfigError is a runtime failure too
+            ("config_exception", (), 3, "runtime error: engine failed"),
         ],
-        ids=["exception", "exception_annotated", "malformed_line_annotated"],
+        ids=["exception", "exception_annotated", "malformed_line_annotated", "config_error"],
     )
     def test_failed_offline_run_leaves_no_output(
         self, workdir, capsys, monkeypatch, failure, flags, code, message
@@ -331,7 +359,8 @@ class TestRunAndEval:
                 def hook(frame):
                     if frame.frame_id == 40:
                         annotated_mid_run.append((out_dir / "annotations.jsonl").exists())
-                        raise RuntimeError("engine failed")
+                        error = ConfigError if failure == "config_exception" else RuntimeError
+                        raise error("engine failed")
 
                 return run(source, cfg, on_frame=hook, **kwargs)
 
@@ -339,7 +368,7 @@ class TestRunAndEval:
         assert run_cli("run", str(detections), "--out-dir", str(out_dir), *flags) == code
         assert capsys.readouterr().err.startswith(message)
         assert list(out_dir.iterdir()) == []
-        if failure == "engine_exception":
+        if failure != "malformed_line":
             assert annotated_mid_run == [bool(flags)]
 
     @pytest.mark.parametrize("mode, code", [("offline", 2), ("live", 3)])

@@ -46,11 +46,6 @@ class TestDefaults:
         assert cfg.gps.lat_offset == -31.30174
         assert cfg.gps.sample_period == 3.0
 
-    def test_window_capacity(self):
-        cfg = build_config({"regression": {"size_window_len": 20}})
-        assert cfg.regression.window_capacity == 20
-        assert build_config().regression.window_capacity == 18
-
     def test_c_los_defaults_to_principal(self):
         cfg = build_config()
         assert cfg.rules.c_los is None

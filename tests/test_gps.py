@@ -83,8 +83,10 @@ class TestSampling:
         assert [f.t for f in log] == [0.0, 11.0]
 
     def test_period_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_trajectory([], period=0.0)
+        # a NaN period would keep only the first fix
+        for period in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="period must be > 0"):
+                sample_trajectory([fix(0.0, 10.0, 10.0), fix(3.0, 10.0, 10.0)], period=period)
 
 
 class TestSpeed:

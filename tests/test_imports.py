@@ -94,3 +94,16 @@ def test_only_config_reads_json_files():
         and isinstance(node.value, ast.Name) and node.value.id == "json"
     }
     assert readers == {"config.py"}
+
+
+def test_only_ttc_builds_samples():
+    # a detection box becomes a window sample in one place, SampleWindow.add
+    package = Path(nearcrash.__file__).resolve().parent
+    builders = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "Sample" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert builders == {"ttc.py"}

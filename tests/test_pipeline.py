@@ -183,6 +183,14 @@ class TestEventRecorder:
         assert event.truncated
         assert event.clip_end == pytest.approx(29.9)
 
+    def test_post_window_must_be_positive(self):
+        # a negative span would end a clip before it starts, a NaN one never
+        for post in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="post_seconds must be > 0"):
+                EventRecorder(post_seconds=post)
+        with pytest.raises(ValueError, match="span_seconds must be > 0"):
+            EventRecorder(pre_seconds=float("nan"))
+
     def test_gps_is_the_last_fix_at_or_before_the_trigger(self):
         first, tied, last = GpsFix(0.0, 1.0, 1.0), GpsFix(2.0, 2.0, 2.0), GpsFix(2.0, 3.0, 3.0)
         recorder = EventRecorder(gps_fixes=[tied, first, last])
@@ -235,8 +243,10 @@ class TestContextBuffer:
         assert ids[0] == 30 and ids[-1] == 49
 
     def test_span_must_be_positive(self):
-        with pytest.raises(ValueError, match="span_seconds must be > 0"):
-            ContextBuffer(0)
+        # a NaN or infinite span would never evict
+        for span in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="span_seconds must be > 0"):
+                ContextBuffer(span)
 
 
 @pytest.mark.parametrize("mode", ["offline", "live"])

@@ -176,6 +176,15 @@ class TestGenerateDetections:
         assert max(spread) < 0.15
         assert sum(spread) / len(spread) > 0.005
 
+    def test_too_thin_noisy_box_is_a_missed_detection(self):
+        # 0.9 x 0.75 px at 2 km: noise takes some boxes below half a pixel
+        far = vehicle(init_longitudinal=2000.0, vel_longitudinal=0.0)
+        frames = generate_detections(one_actor_scenario(far, duration=2.0, noise=0.2, seed=5))
+        assert [f.frame_id for f in frames] == list(range(48))
+        seen = [f.detections[0].box for f in frames if f.detections]
+        assert 0 < len(seen) < len(frames)
+        assert all(x2 - x1 >= 0.5 and y2 - y1 >= 0.5 for x1, y1, x2, y2 in seen)
+
 
 class TestGroundTruthLabels:
     def test_head_on_labeled_at_threshold_crossing(self):

@@ -81,3 +81,13 @@ def test_malformed_terminated_last_line_is_not_torn():
 def test_complete_unterminated_last_line_parses():
     stream = io.BytesIO(f"{line(t=0.0)}\n{line(t=0.1)}".encode())
     assert [f.t for f in read_detection_stream(stream)] == [0.0, 0.1]
+
+
+def test_blank_lines_are_skipped_but_keep_their_line_numbers():
+    first, second = line(t=0.0), line(t=0.1)
+    plain = list(read_detection_stream(io.BytesIO(f"{first}\n{second}\n".encode())))
+    padded = f"\n{first}\n   \n\t\n{second}\n\n"
+    assert list(read_detection_stream(io.BytesIO(padded.encode()))) == plain
+    bad = padded + line(t=float("nan")) + "\n"
+    with pytest.raises(StreamFormatError, match="line 7: non-finite"):
+        list(read_detection_stream(io.BytesIO(bad.encode())))

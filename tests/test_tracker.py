@@ -290,14 +290,14 @@ def box_corners(draw):
 class TestAssociate:
     def test_singleton_match(self):
         matches, unmatched_t, unmatched_d = associate(
-            [(0, 0, 10, 10)], [det((1, 1, 11, 11))], iou_min=0.3
+            [(0, 0, 10, 10)], [det((1, 1, 11, 11))], iou_min=0.3, predicted_kinds=["vehicle"]
         )
         assert matches == [(0, 0)]
         assert unmatched_t == [] and unmatched_d == []
 
     def test_low_iou_demoted(self):
         matches, unmatched_t, unmatched_d = associate(
-            [(0, 0, 10, 10)], [det((9, 9, 19, 19))], iou_min=0.3
+            [(0, 0, 10, 10)], [det((9, 9, 19, 19))], iou_min=0.3, predicted_kinds=["vehicle"]
         )
         assert matches == []
         assert unmatched_t == [0] and unmatched_d == [0]
@@ -317,7 +317,7 @@ class TestAssociate:
         b = (2.0, 0.0, 12.0, 10.0)
         d1 = det((1.0, 0.0, 11.0, 10.0))
         d2 = det((0.5, 0.0, 10.5, 10.0))
-        matches, _, _ = associate([a, b], [d1, d2], iou_min=0.1)
+        matches, _, _ = associate([a, b], [d1, d2], iou_min=0.1, predicted_kinds=["vehicle"] * 2)
         score = np.array([[iou(a, d1.box), iou(a, d2.box)], [iou(b, d1.box), iou(b, d2.box)]])
         assert total_score(score, matches) == brute_force_best(score)
         assert len(matches) == 2
@@ -365,7 +365,7 @@ class TestAssociate:
 
     def test_invalid_iou_min(self):
         with pytest.raises(ValueError):
-            associate([], [], iou_min=0.0)
+            associate([], [], iou_min=0.0, predicted_kinds=[])
 
     @pytest.mark.parametrize("family", ["uniform", "sparse", "tied"])
     def test_solver_matches_scipy_pair_for_pair(self, family):
@@ -422,12 +422,14 @@ class TestAssociate:
         monkeypatch.setattr(tracker, "solve_assignment", None)
         lanes = [(20.0 * k, 0.0, 20.0 * k + 10.0, 10.0) for k in range(3)]
         shifted = [det((x1 + 1, y1, x2 + 1, y2)) for x1, y1, x2, y2 in lanes]
-        assert associate(lanes, shifted[::-1], 0.3) == ([(0, 2), (1, 1), (2, 0)], [], [])
+        kinds = ["vehicle"] * len(lanes)
+        assert associate(lanes, shifted[::-1], 0.3, kinds) == ([(0, 2), (1, 1), (2, 0)], [], [])
         # tracks 0 and 1 share their best detection, 1; by detection each
         # best track is distinct, and the matches still come by track index
         boxes = [(0, 0, 10, 10), (2.5, 0, 12.5, 10), (40, 0, 50, 10)]
         dets = [det((5, 0, 15, 10)), det((1, 0, 11, 10))]
-        assert associate(boxes, dets, 0.3) == ([(0, 1), (1, 0)], [2], [])
+        kinds = ["vehicle"] * len(boxes)
+        assert associate(boxes, dets, 0.3, kinds) == ([(0, 1), (1, 0)], [2], [])
 
 
 def solver_reference(boxes, dets, iou_min, kinds):
@@ -613,9 +615,10 @@ def test_step_keeps_window_invariants(frames, max_age, min_hits, capacity):
         before = {trk.id: trk.window[-1] for trk in tracker.tracks}
         tracker.step(frame)
         offered = Counter(
-            Sample(d.t, d.height, d.width, d.center_x, d.bottom_y)
+            Sample(frame.t, y2 - y1, x2 - x1, (x1 + x2) / 2.0, y2)
             for d in frame.detections
             if d.kind in ROAD_USER_KINDS and d.confidence >= tracker.params.confidence_min
+            for x1, y1, x2, y2 in [d.box]
         )
         matched = Counter()
         for trk in tracker.tracks:

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearcrash.config import build_config
 from nearcrash.pipeline import run
 from nearcrash.sim import ActorSpec, generate_detections, project_actor
 from nearcrash.streams import CameraSpec
@@ -14,6 +15,7 @@ from nearcrash.ttc import (
     SLOPE_EPSILON,
     DegenerateFitError,
     Sample,
+    SampleWindow,
     fit_slope,
     horizontal_motion,
     normalized_center,
@@ -100,7 +102,7 @@ class TestTtcFromWindow:
         # window of 12 frames whose latest is t = 0.5; true TTC there is 2.5 s
         actor = approach()
         window = fill_window(actor, BIG_CAMERA, frame_times(1, 12))
-        est = ttc_from_window(window, 12)
+        est = ttc_from_window(window)
         assert est.ttc_h == pytest.approx(2.5, rel=0.05)
         assert est.ttc_w == pytest.approx(2.5, rel=0.05)
 
@@ -114,27 +116,27 @@ class TestTtcFromWindow:
                     vel_longitudinal=speed,
                 )
                 window = fill_window(actor, BIG_CAMERA, frame_times(1, 12))
-                est = ttc_from_window(window, 12)
+                est = ttc_from_window(window)
                 assert est.ttc_h == pytest.approx(ttc_target, rel=0.05)
 
     def test_receding_actor_negative(self):
         actor = approach(init_longitudinal=10.0, vel_longitudinal=-8.0)
         window = fill_window(actor, BIG_CAMERA, frame_times(0, 12))
-        est = ttc_from_window(window, 12)
+        est = ttc_from_window(window)
         assert est.ttc_h < 0
         assert est.ttc_w < 0
 
     def test_constant_size_gives_none(self):
         actor = approach(vel_longitudinal=0.0)
         window = fill_window(actor, BIG_CAMERA, frame_times(0, 12))
-        est = ttc_from_window(window, 12)
+        est = ttc_from_window(window)
         assert est.ttc_h is None
         assert est.ttc_w is None
 
     def test_not_ready_below_window_len(self):
         actor = approach()
         window = fill_window(actor, BIG_CAMERA, frame_times(0, 8), capacity=12)
-        assert ttc_from_window(window, 12) is None
+        assert ttc_from_window(window) is None
 
     def test_uses_newest_samples_only(self):
         # an actor that recedes then approaches: the fresh half decides the sign
@@ -142,13 +144,11 @@ class TestTtcFromWindow:
         window = sample_window(capacity=24)
         recede = approach(init_longitudinal=20.0, vel_longitudinal=-5.0)
         for t in frame_times(0, 12):
-            det = project_actor(recede, t, cam)
-            window.append(Sample(t, det.height, det.width, det.center_x, det.bottom_y))
+            window.add(t, project_actor(recede, t, cam).box)
         close = approach(init_longitudinal=recede.distance(0.5), vel_longitudinal=10.0)
         for t in frame_times(13, 12):
-            det = project_actor(close, t - 13 / FPS, cam)
-            window.append(Sample(t, det.height, det.width, det.center_x, det.bottom_y))
-        est = ttc_from_window(window, 12)
+            window.add(t, project_actor(close, t - 13 / FPS, cam).box)
+        est = ttc_from_window(window)
         assert est.ttc_h > 0
 
     def test_focal_invariance(self):
@@ -159,7 +159,7 @@ class TestTtcFromWindow:
                 focal_px=focal, frame_width=4000, frame_height=3000, fps=24
             )
             window = fill_window(actor, cam, frame_times(1, 12))
-            estimates.append(ttc_from_window(window, 12))
+            estimates.append(ttc_from_window(window))
         for est in estimates[1:]:
             assert abs(est.ttc_h - estimates[0].ttc_h) <= 1e-9 * abs(estimates[0].ttc_h)
             assert abs(est.ttc_w - estimates[0].ttc_w) <= 1e-9 * abs(estimates[0].ttc_w)
@@ -269,7 +269,7 @@ class TestFusedFitsEqualFitSlope:
         for fit, column in ((fit_h, "h"), (fit_w, "w")):
             points = [(s.t, getattr(s, column)) for s in samples]
             assert (fit.slope, fit.t_mean, fit.value_mean) == reference_fit(points)
-        est = ttc_from_window(window, n)
+        est = ttc_from_window(window)
         for got, column in ((est.ttc_h, "h"), (est.ttc_w, "w")):
             assert_ttc_close(got, [(s.t, getattr(s, column)) for s in samples])
 
@@ -315,7 +315,7 @@ def reference_omega(samples):
 def check_fit(window, kind, n):
     samples = list(window)[-n:]
     if kind == "size":
-        est = ttc_from_window(window, n)
+        est = ttc_from_window(window)
         # times from the first sample, an exact difference, so that the
         # reference keeps its digits at epoch scale
         t0 = samples[0].t
@@ -340,7 +340,7 @@ class TestRunningSizeSums:
         for sample in samples:
             window.append(sample)
             if len(window) < n:
-                assert ttc_from_window(window, n) is None
+                assert ttc_from_window(window) is None
             else:
                 check_fit(window, "size", n)
             if len(window) >= 2:
@@ -364,17 +364,18 @@ class TestRunningSizeSums:
         )
         for _ in range(3):
             with pytest.raises(DegenerateFitError):
-                ttc_from_window(window, 18)
+                ttc_from_window(window)
             with pytest.raises(DegenerateFitError):
                 horizontal_motion(window, 18, BIG_CAMERA)
             with pytest.raises(DegenerateFitError):
                 fit_slope([(s.t, s.h) for s in window])
 
-    def test_a_window_fits_only_its_own_size_span(self):
-        with pytest.raises(ValueError, match="sums 12 samples, not 6"):
-            ttc_from_window(sample_window(capacity=18, size_window_len=12), 6)
-        with pytest.raises(ValueError, match="size_window_len <= capacity"):
-            sample_window(capacity=6, size_window_len=12)
+
+def test_window_capacity():
+    # a track keeps enough samples for both fits
+    long_size_span = build_config({"regression": {"size_window_len": 20}}).regression
+    assert SampleWindow(long_size_span).maxlen == 20
+    assert SampleWindow(build_config().regression).maxlen == 18
 
 
 @pytest.mark.parametrize("name", ["head_on", "cut_in", "jaywalking_pedestrian"])
